@@ -24,15 +24,24 @@
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use mffv::prelude::*;
 use mffv::telemetry::Stopwatch;
 
-/// Heap acquisitions since process start.  `realloc`/`alloc_zeroed` keep
-/// their default implementations, which route through `alloc`, so every
-/// acquisition path is counted.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap acquisitions made by this thread.  Counting per thread keeps a
+    /// measurement on one thread clean of allocations that other threads
+    /// (parallel tests, the harness) make at the same time.  `realloc` and
+    /// `alloc_zeroed` keep their default implementations, which route
+    /// through `alloc`, so every acquisition path is counted.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations made by the calling thread so far.
+fn thread_allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 struct CountingAllocator;
 
@@ -40,7 +49,9 @@ struct CountingAllocator;
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: the caller's layout contract is forwarded to `System` as-is.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        // `try_with`: a thread being torn down may still allocate after its
+        // thread-locals are gone; such allocations simply go uncounted.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
 
@@ -119,10 +130,10 @@ fn pooled_solve(
     config: &SolveConfig,
     span: &Span,
 ) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = thread_allocations();
     let stopped = ctx.solve(workload, config, &mut NullMonitor, span);
     assert!(stopped.is_none(), "steady solve must converge");
-    ALLOCATIONS.load(Ordering::SeqCst) - before
+    thread_allocations() - before
 }
 
 /// Whether the context's last history matches `reference` bit for bit,

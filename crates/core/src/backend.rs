@@ -3,20 +3,18 @@
 //! This is the *only* module that constructs [`DataflowFvSolver`] directly;
 //! everything else (examples, benches, tests) goes through the `mffv`
 //! `Simulation` facade, which instantiates this backend.  The facade's
-//! [`SolveConfig`] carries the cross-backend tolerance/iteration settings and
-//! takes precedence over any overrides already present in the dataflow-specific
-//! [`SolverOptions`].
+//! [`SolveConfig`](mffv_solver::backend::SolveConfig) carries the
+//! cross-backend tolerance/iteration settings and takes precedence over any
+//! overrides already present in the dataflow-specific [`SolverOptions`].
 
 use crate::options::SolverOptions;
 use crate::solver::{DataflowFvSolver, DataflowSolveReport};
 use mffv_fabric::WseSpec;
-use mffv_mesh::Workload;
 use mffv_solver::backend::{
-    DeviceSection, Precision, PreconditionerKind, SolveBackend, SolveConfig, SolveError,
-    SolveReport,
+    DeviceSection, Precision, PreconditionerKind, SolveBackend, SolveError, SolveReport,
+    SolveRequest,
 };
-use mffv_solver::monitor::{NullMonitor, SolveMonitor};
-use mffv_solver::trace::{Span, TraceMonitor};
+use mffv_solver::trace::TraceMonitor;
 
 /// The simulated WSE-2 dataflow fabric as a facade backend.
 #[derive(Clone, Copy, Debug, Default)]
@@ -55,46 +53,6 @@ impl DataflowBackend {
 }
 
 impl DataflowBackend {
-    /// Run the solve behind the facade's config, threading `monitor` through
-    /// the state machine.  The facade's settings win over any overrides baked
-    /// into the options; communication-only runs keep their forced iteration
-    /// count.
-    fn run(
-        &self,
-        workload: &Workload,
-        config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
-        span: &Span,
-    ) -> Result<SolveReport, SolveError> {
-        let mut options = self.options;
-        if let Some(tolerance) = config.tolerance {
-            options = options.with_tolerance(tolerance);
-        }
-        if let Some(max_iterations) = config.max_iterations {
-            options = options.with_max_iterations(max_iterations);
-        }
-        // An explicit facade selection wins; the default (`None`) leaves any
-        // dataflow-specific choice in place.
-        if config.preconditioner != PreconditionerKind::None {
-            options = options.with_preconditioner(config.preconditioner);
-        }
-        let build = span.child("build-fabric-program");
-        let solver = match self.spec {
-            Some(spec) => DataflowFvSolver::with_spec(workload, options, spec),
-            None => DataflowFvSolver::new(workload, options),
-        };
-        build.finish();
-        let spec = *solver.spec();
-        let report = if span.is_recording() {
-            let mut traced = TraceMonitor::new(span, monitor);
-            solver.solve_monitored(&mut traced)
-        } else {
-            solver.solve_monitored(monitor)
-        }
-        .map_err(|e| SolveError::new(self.name(), e.to_string()))?;
-        Ok(self.unify(spec, report))
-    }
-
     /// Wrap the internal [`DataflowSolveReport`] into the unified shape.
     fn unify(&self, spec: WseSpec, report: DataflowSolveReport) -> SolveReport {
         let device = DeviceSection {
@@ -166,27 +124,41 @@ impl SolveBackend for DataflowBackend {
         Precision::F32
     }
 
-    fn solve(&self, workload: &Workload, config: &SolveConfig) -> Result<SolveReport, SolveError> {
-        self.run(workload, config, &mut NullMonitor, &Span::null())
-    }
-
-    fn solve_monitored(
-        &self,
-        workload: &Workload,
-        config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
-    ) -> Result<SolveReport, SolveError> {
-        self.run(workload, config, monitor, &Span::null())
-    }
-
-    fn solve_traced(
-        &self,
-        workload: &Workload,
-        config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
-        span: &Span,
-    ) -> Result<SolveReport, SolveError> {
-        self.run(workload, config, monitor, span)
+    /// Run the solve behind the facade's config, threading the request's
+    /// monitor through the state machine.  The facade's settings win over
+    /// any overrides baked into the options; communication-only runs keep
+    /// their forced iteration count.
+    fn solve(&self, request: SolveRequest<'_>) -> Result<SolveReport, SolveError> {
+        let SolveRequest {
+            workload,
+            config,
+            monitor,
+            span,
+            ..
+        } = request;
+        let mut options = self.options;
+        if let Some(tolerance) = config.tolerance {
+            options = options.with_tolerance(tolerance);
+        }
+        if let Some(max_iterations) = config.max_iterations {
+            options = options.with_max_iterations(max_iterations);
+        }
+        // An explicit facade selection wins; the default (`None`) leaves any
+        // dataflow-specific choice in place.
+        if config.preconditioner != PreconditionerKind::None {
+            options = options.with_preconditioner(config.preconditioner);
+        }
+        let build = span.child("build-fabric-program");
+        let solver = match self.spec {
+            Some(spec) => DataflowFvSolver::with_spec(workload, options, spec),
+            None => DataflowFvSolver::new(workload, options),
+        };
+        build.finish();
+        let spec = *solver.spec();
+        let report = solver
+            .solve_monitored(&mut TraceMonitor::new(span, monitor))
+            .map_err(|e| SolveError::new(self.name(), e.to_string()))?;
+        Ok(self.unify(spec, report))
     }
 }
 
@@ -194,7 +166,7 @@ impl SolveBackend for DataflowBackend {
 mod tests {
     use super::*;
     use mffv_mesh::workload::WorkloadSpec;
-    use mffv_solver::backend::HostBackend;
+    use mffv_solver::backend::{HostBackend, SolveConfig};
 
     #[test]
     fn backend_solves_and_matches_the_host_oracle() {
@@ -203,8 +175,12 @@ mod tests {
             tolerance: Some(1e-10),
             ..SolveConfig::default()
         };
-        let dataflow = DataflowBackend::paper().solve(&w, &config).unwrap();
-        let oracle = HostBackend::oracle().solve(&w, &config).unwrap();
+        let dataflow = DataflowBackend::paper()
+            .solve(SolveRequest::new(&w, &config))
+            .unwrap();
+        let oracle = HostBackend::oracle()
+            .solve(SolveRequest::new(&w, &config))
+            .unwrap();
         assert!(dataflow.converged());
         assert!(dataflow.max_abs_diff(&oracle) < 1e-3);
         let device = dataflow
@@ -220,7 +196,9 @@ mod tests {
     fn communication_only_mode_survives_the_facade_config() {
         let w = WorkloadSpec::quickstart().scaled(2).build();
         let backend = DataflowBackend::with_options(SolverOptions::communication_only(5));
-        let report = backend.solve(&w, &SolveConfig::default()).unwrap();
+        let report = backend
+            .solve(SolveRequest::new(&w, &SolveConfig::default()))
+            .unwrap();
         assert_eq!(report.iterations(), 5);
         let device = report.device.unwrap();
         assert!(device.counter("fabric_link_bytes").unwrap() > 0.0);
@@ -230,7 +208,9 @@ mod tests {
     fn explicit_spec_changes_the_device_label() {
         let w = WorkloadSpec::quickstart().scaled(4).build();
         let backend = DataflowBackend::paper().with_spec(WseSpec::cs2());
-        let report = backend.solve(&w, &SolveConfig::default()).unwrap();
+        let report = backend
+            .solve(SolveRequest::new(&w, &SolveConfig::default()))
+            .unwrap();
         assert_eq!(report.device.unwrap().device, "CS-2 region 750x994");
     }
 }

@@ -535,7 +535,7 @@ mod tests {
     use crate::options::SolverOptions;
     use mffv_mesh::workload::WorkloadSpec;
     use mffv_mesh::Dims;
-    use mffv_solver::backend::{SolveBackend, SolveConfig};
+    use mffv_solver::backend::{SolveBackend, SolveConfig, SolveRequest};
     use mffv_solver::newton::solve_pressure;
 
     fn config(tolerance: f64) -> SolveConfig {
@@ -548,7 +548,9 @@ mod tests {
     #[test]
     fn dataflow_solve_matches_host_oracle_on_quickstart() {
         let w = WorkloadSpec::quickstart().scaled(2).build();
-        let report = DataflowBackend::paper().solve(&w, &config(1e-10)).unwrap();
+        let report = DataflowBackend::paper()
+            .solve(SolveRequest::new(&w, &config(1e-10)))
+            .unwrap();
         assert!(report.converged(), "dataflow CG did not converge");
         assert!(report.final_residual_max < 1e-3);
         let oracle = solve_pressure::<f64>(&w);
@@ -559,7 +561,9 @@ mod tests {
     #[test]
     fn dataflow_solve_on_heterogeneous_fig5_scenario() {
         let w = WorkloadSpec::fig5(Dims::new(6, 5, 4)).build();
-        let report = DataflowBackend::paper().solve(&w, &config(1e-12)).unwrap();
+        let report = DataflowBackend::paper()
+            .solve(SolveRequest::new(&w, &config(1e-12)))
+            .unwrap();
         assert!(report.converged());
         let oracle = solve_pressure::<f64>(&w);
         let scale = oracle.pressure.max_abs();
@@ -572,14 +576,18 @@ mod tests {
         use mffv_solver::backend::PreconditionerKind;
         let w = WorkloadSpec::quickstart().scaled(2).build();
         let oracle = solve_pressure::<f64>(&w);
-        let plain = DataflowBackend::paper().solve(&w, &config(1e-10)).unwrap();
+        let plain = DataflowBackend::paper()
+            .solve(SolveRequest::new(&w, &config(1e-10)))
+            .unwrap();
         for kind in [PreconditionerKind::Jacobi, PreconditionerKind::Mg] {
             let cfg = SolveConfig {
                 tolerance: Some(1e-10),
                 preconditioner: kind,
                 ..SolveConfig::default()
             };
-            let report = DataflowBackend::paper().solve(&w, &cfg).unwrap();
+            let report = DataflowBackend::paper()
+                .solve(SolveRequest::new(&w, &cfg))
+                .unwrap();
             assert!(report.converged(), "{} did not converge", kind.label());
             let diff = oracle.pressure.max_abs_diff(&report.pressure);
             assert!(diff < 1e-3, "{} vs oracle gap {diff}", kind.label());
@@ -599,7 +607,7 @@ mod tests {
     fn iteration_count_is_bounded_by_unknowns() {
         let w = WorkloadSpec::quickstart().scaled(2).build();
         let report = DataflowBackend::paper()
-            .solve(&w, &SolveConfig::default())
+            .solve(SolveRequest::new(&w, &SolveConfig::default()))
             .unwrap();
         assert!(report.iterations() <= w.dims().num_cells());
         assert!(report.iterations() > 1);
@@ -609,10 +617,10 @@ mod tests {
     fn communication_only_run_moves_data_but_does_no_flops_in_the_kernel() {
         let w = WorkloadSpec::quickstart().scaled(2).build();
         let full = DataflowBackend::paper()
-            .solve(&w, &SolveConfig::default())
+            .solve(SolveRequest::new(&w, &SolveConfig::default()))
             .unwrap();
         let comm = DataflowBackend::with_options(SolverOptions::communication_only(5))
-            .solve(&w, &SolveConfig::default())
+            .solve(SolveRequest::new(&w, &SolveConfig::default()))
             .unwrap();
         let full_device = full.device.as_ref().unwrap();
         let comm_device = comm.device.as_ref().unwrap();
@@ -629,7 +637,7 @@ mod tests {
     fn modelled_time_has_positive_components() {
         let w = WorkloadSpec::quickstart().scaled(2).build();
         let report = DataflowBackend::paper()
-            .solve(&w, &SolveConfig::default())
+            .solve(SolveRequest::new(&w, &SolveConfig::default()))
             .unwrap();
         let device = report.device.as_ref().unwrap();
         assert!(device.modelled_time_seconds > 0.0);
@@ -642,7 +650,7 @@ mod tests {
     fn residual_history_decreases_broadly() {
         let w = WorkloadSpec::quickstart().scaled(2).build();
         let report = DataflowBackend::paper()
-            .solve(&w, &SolveConfig::default())
+            .solve(SolveRequest::new(&w, &SolveConfig::default()))
             .unwrap();
         assert!(report.history.is_broadly_decreasing(1e3));
         assert!(report.history.final_rr() < report.history.initial_rr());

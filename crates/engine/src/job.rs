@@ -9,9 +9,12 @@
 
 use crate::backend::Backend;
 use mffv_mesh::{TransientSpec, Workload, WorkloadSpec};
-use mffv_solver::backend::{PreconditionerKind, SolveConfig, SolveError, SolveReport};
+use mffv_solver::backend::{
+    PreconditionerKind, SolveConfig, SolveError, SolveReport, SolveRequest,
+};
+use mffv_solver::context::SolveContextCache;
 use mffv_solver::monitor::{
-    CancelToken, MonitorFanout, NullMonitor, SolveMonitor, StopPolicy, StopReason,
+    with_composed_monitor, CancelToken, SolveMonitor, StopPolicy, StopReason,
 };
 use mffv_solver::transient::{run_transient_monitored, run_transient_traced};
 use mffv_telemetry::Span;
@@ -36,7 +39,7 @@ pub struct JobSpec {
     pub seed: Option<u64>,
     /// Per-job stop rules (deadline, iteration budget, stagnation /
     /// divergence detection, cancellation).  An empty policy (the default)
-    /// runs the exact unmonitored solve path.
+    /// arms no session: the solve runs unmonitored.
     pub stop_policy: StopPolicy,
     /// When set, the job runs the transient scenario instead of a single
     /// steady solve: the full backward-Euler schedule executes on the
@@ -154,107 +157,58 @@ impl JobSpec {
     }
 
     /// Run the job to completion on the calling thread (validation, workload
-    /// materialisation, solve).  The engine calls this from its workers,
-    /// wrapped in panic isolation; it is also the serial reference path.
+    /// materialisation, solve): the serial reference path.
     pub fn execute(&self) -> Result<SolveReport, SolveError> {
-        self.execute_cancellable(None)
+        self.execute_with(None, &Span::null(), None, None)
     }
 
-    /// [`execute`](Self::execute), additionally watching `engine_token` (the
-    /// engine threads its batch-level [`CancelToken`] through here so a
-    /// tripped token stops an in-flight job at its next iteration boundary).
+    /// [`execute`](Self::execute) as the engine's workers run it:
     ///
-    /// A job whose effective policy is empty takes the plain unmonitored
-    /// solve path; monitored and unmonitored solves perform identical
-    /// arithmetic either way, so batch results stay bitwise deterministic.
-    pub fn execute_cancellable(
-        &self,
-        engine_token: Option<&CancelToken>,
-    ) -> Result<SolveReport, SolveError> {
-        self.execute_traced(engine_token, &Span::null())
-    }
-
-    /// [`execute_cancellable`](Self::execute_cancellable), additionally
-    /// recording phase spans under `span` (workload materialisation, then the
-    /// solve or transient schedule).  On a null span this is byte-for-byte
-    /// the untraced path — the engine threads each job's span through here,
-    /// and traced batches stay bitwise identical to untraced ones.
-    pub fn execute_traced(
-        &self,
-        engine_token: Option<&CancelToken>,
-        span: &Span,
-    ) -> Result<SolveReport, SolveError> {
-        self.execute_streamed(engine_token, span, None)
-    }
-
-    /// [`execute_traced`](Self::execute_traced) with a live observer:
-    /// `external` sees the job's full [`mffv_solver::monitor::SolveEvent`]
-    /// stream — the per-iteration events of a steady solve, or the
-    /// concatenated per-step sessions of a transient — bitwise-identical to
-    /// the recorded convergence history.  The observer can also *stop* the
-    /// job (return [`mffv_solver::monitor::Flow::Stop`]); the job's own
-    /// [`StopPolicy`] keeps stop precedence by sitting first in the fanout.
-    /// This is the serving path: a daemon streams the events over a socket
-    /// while policy deadlines and cancel tokens keep working unchanged.
-    pub fn execute_streamed(
-        &self,
-        engine_token: Option<&CancelToken>,
-        span: &Span,
-        external: Option<&mut dyn SolveMonitor>,
-    ) -> Result<SolveReport, SolveError> {
-        self.execute_pooled(engine_token, span, external, None)
-    }
-
-    /// [`execute_streamed`](Self::execute_streamed) on a warm, worker-owned
-    /// [`SolveContextCache`](mffv_solver::context::SolveContextCache): the
-    /// zero-allocation steady-state serving path.
+    /// * `engine_token` — the batch-level [`CancelToken`]; a tripped token
+    ///   stops an in-flight job at its next iteration boundary;
+    /// * `span` — phase spans (workload materialisation, then the solve or
+    ///   transient schedule) are recorded under it; a null span records
+    ///   nothing;
+    /// * `observer` — sees the job's full
+    ///   [`SolveEvent`](mffv_solver::monitor::SolveEvent) stream (the
+    ///   per-iteration events of a steady solve, or the concatenated
+    ///   per-step sessions of a transient), bitwise identical to the
+    ///   recorded convergence history, and may stop the job; the job's own
+    ///   [`StopPolicy`] keeps stop precedence;
+    /// * `cache` — a warm, worker-owned
+    ///   [`SolveContextCache`]: steady jobs reuse its workload, operator,
+    ///   preconditioner and CG scratch whenever the job's key matches the
+    ///   previous one (see [`mffv_solver::context`]).  Transient jobs keep
+    ///   their own per-run stepper cache and ignore it.
     ///
-    /// With `cache = Some`, steady jobs reuse the worker's cached workload,
-    /// operator/preconditioner and CG scratch whenever the job's key matches
-    /// the previous one (see [`mffv_solver::context`]), and rebuild on a
-    /// mismatch.  Reports are **bitwise identical** with the cache on or off
-    /// — pinned by `tests/engine_batch.rs` across worker counts.  `None` is
-    /// the legacy cache-off path; transient jobs keep their own per-run
-    /// stepper cache and ignore `cache`.
-    pub fn execute_pooled(
+    /// Tracing, observing and caching never change the arithmetic: a job
+    /// that is not stopped reports bitwise the same values traced or not,
+    /// observed or not, with the cache on or off, on any worker count
+    /// (pinned by `tests/engine_batch.rs` and `tests/telemetry.rs`).
+    pub fn execute_with(
         &self,
         engine_token: Option<&CancelToken>,
         span: &Span,
-        external: Option<&mut dyn SolveMonitor>,
-        cache: Option<&mut mffv_solver::context::SolveContextCache>,
+        observer: Option<&mut dyn SolveMonitor>,
+        cache: Option<&mut SolveContextCache>,
     ) -> Result<SolveReport, SolveError> {
         self.validate()?;
         let materialise = span.child("materialise-workload");
         let spec = self.effective_spec();
-        // Transient jobs cache per-run stepper state instead; the pooled
-        // steady contexts don't apply to them.
-        let cache = if self.transient.is_none() {
-            cache
-        } else {
-            None
-        };
-        let (workload, cache) = match cache {
-            Some(cache) => {
-                let w = cache.checkout_workload(&spec).map_err(|e| {
-                    SolveError::new(self.backend.name(), format!("invalid workload: {e}"))
-                })?;
-                (w, Some(cache))
-            }
-            None => (
-                Workload::try_from_spec(&spec).map_err(|e| {
-                    SolveError::new(self.backend.name(), format!("invalid workload: {e}"))
-                })?,
-                None,
-            ),
-        };
+        let mut cache = cache.filter(|_| self.transient.is_none());
+        let workload = match cache.as_deref_mut() {
+            Some(cache) => cache.checkout_workload(&spec),
+            None => Workload::try_from_spec(&spec),
+        }
+        .map_err(|e| SolveError::new(self.backend.name(), format!("invalid workload: {e}")))?;
         materialise.finish();
         let mut policy = self.stop_policy.clone();
         if let Some(token) = engine_token {
             policy = policy.cancel_token(token.clone());
         }
+        let backend = self.backend.instantiate();
         if let Some(transient) = &self.transient {
-            let backend = self.backend.instantiate();
-            let report = match external {
+            let report = match observer {
                 Some(observer) => run_transient_monitored(
                     backend.as_ref(),
                     &workload,
@@ -275,99 +229,22 @@ impl JobSpec {
             };
             return Ok(report.summary_report());
         }
-        match cache {
-            Some(cache) => {
-                let backend = self.backend.instantiate();
-                let result = match external {
-                    None => {
-                        if policy.is_empty() {
-                            backend.solve_pooled(
-                                &workload,
-                                &self.solve_config,
-                                &mut NullMonitor,
-                                span,
-                                cache,
-                            )
-                        } else {
-                            backend.solve_pooled(
-                                &workload,
-                                &self.solve_config,
-                                &mut policy.session(),
-                                span,
-                                cache,
-                            )
-                        }
-                    }
-                    Some(observer) => {
-                        if policy.is_empty() {
-                            backend.solve_pooled(
-                                &workload,
-                                &self.solve_config,
-                                observer,
-                                span,
-                                cache,
-                            )
-                        } else {
-                            let mut session = policy.session();
-                            let mut fanout = MonitorFanout::new().push(&mut session).push(observer);
-                            backend.solve_pooled(
-                                &workload,
-                                &self.solve_config,
-                                &mut fanout,
-                                span,
-                                cache,
-                            )
-                        }
-                    }
-                };
-                // Hand the workload back so the next same-spec job skips
-                // materialisation entirely.
-                cache.checkin_workload(spec, workload);
-                result
-            }
-            None => match external {
-                None => {
-                    if policy.is_empty() {
-                        if !span.is_recording() {
-                            return self
-                                .backend
-                                .instantiate()
-                                .solve(&workload, &self.solve_config);
-                        }
-                        return self.backend.instantiate().solve_traced(
-                            &workload,
-                            &self.solve_config,
-                            &mut NullMonitor,
-                            span,
-                        );
-                    }
-                    self.backend.instantiate().solve_traced(
-                        &workload,
-                        &self.solve_config,
-                        &mut policy.session(),
-                        span,
-                    )
-                }
-                Some(observer) => {
-                    if policy.is_empty() {
-                        return self.backend.instantiate().solve_traced(
-                            &workload,
-                            &self.solve_config,
-                            observer,
-                            span,
-                        );
-                    }
-                    let mut session = policy.session();
-                    let mut fanout = MonitorFanout::new().push(&mut session).push(observer);
-                    self.backend.instantiate().solve_traced(
-                        &workload,
-                        &self.solve_config,
-                        &mut fanout,
-                        span,
-                    )
-                }
-            },
+        let mut session = (!policy.is_empty()).then(|| policy.session());
+        let result = with_composed_monitor(session.as_mut(), observer, |monitor| {
+            backend.solve(SolveRequest {
+                workload: &workload,
+                config: &self.solve_config,
+                monitor,
+                span,
+                cache: cache.as_deref_mut(),
+            })
+        });
+        // Hand the workload back so the next same-spec job skips
+        // materialisation entirely.
+        if let Some(cache) = cache {
+            cache.checkin_workload(spec, workload);
         }
+        result
     }
 }
 

@@ -312,7 +312,7 @@ fn execute_job(
     let label = job.label();
     let started = Stopwatch::start();
     let status = status_from_result(catch_unwind(AssertUnwindSafe(|| {
-        job.execute_pooled(engine_token, span, None, context_cache)
+        job.execute_with(engine_token, span, None, context_cache)
     })));
     JobOutcome {
         index,

@@ -355,9 +355,9 @@ fn worker_loop(shared: &ServiceShared, worker: usize) {
             let result = catch_unwind(AssertUnwindSafe(|| match on_event.as_mut() {
                 Some(callback) => {
                     let mut streamer = monitor_fn(|event: &SolveEvent| (callback)(event));
-                    job.execute_pooled(Some(&shared.cancel), &exec_span, Some(&mut streamer), cache)
+                    job.execute_with(Some(&shared.cancel), &exec_span, Some(&mut streamer), cache)
                 }
-                None => job.execute_pooled(Some(&shared.cancel), &exec_span, None, cache),
+                None => job.execute_with(Some(&shared.cancel), &exec_span, None, cache),
             }));
             exec_span.finish();
             ServiceOutcome {
@@ -547,7 +547,7 @@ mod tests {
         service.shutdown(ShutdownMode::Drain);
         let streamed: Vec<SolveEvent> = ev_rx.try_iter().collect();
         let mut recorder = RecordingMonitor::new();
-        job.execute_streamed(None, &Span::null(), Some(&mut recorder))
+        job.execute_with(None, &Span::null(), Some(&mut recorder), None)
             .unwrap();
         assert_eq!(
             streamed, recorder.events,

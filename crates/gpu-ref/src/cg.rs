@@ -186,7 +186,7 @@ mod tests {
     use crate::backend::GpuRefBackend;
     use mffv_mesh::workload::WorkloadSpec;
     use mffv_mesh::Dims;
-    use mffv_solver::backend::{SolveBackend, SolveConfig};
+    use mffv_solver::backend::{SolveBackend, SolveConfig, SolveRequest};
     use mffv_solver::newton::solve_pressure;
 
     fn config(tolerance: f64) -> SolveConfig {
@@ -199,7 +199,9 @@ mod tests {
     #[test]
     fn reference_solve_matches_host_oracle() {
         let w = WorkloadSpec::quickstart().build();
-        let report = GpuRefBackend::a100().solve(&w, &config(1e-10)).unwrap();
+        let report = GpuRefBackend::a100()
+            .solve(SolveRequest::new(&w, &config(1e-10)))
+            .unwrap();
         assert!(report.converged());
         let oracle = solve_pressure::<f64>(&w);
         let diff = oracle.pressure.max_abs_diff(&report.pressure);
@@ -211,14 +213,18 @@ mod tests {
     fn preconditioned_paths_match_the_unpreconditioned_solve() {
         use mffv_solver::backend::PreconditionerKind;
         let w = WorkloadSpec::quickstart().build();
-        let base = GpuRefBackend::a100().solve(&w, &config(1e-12)).unwrap();
+        let base = GpuRefBackend::a100()
+            .solve(SolveRequest::new(&w, &config(1e-12)))
+            .unwrap();
         for kind in [PreconditionerKind::Jacobi, PreconditionerKind::Mg] {
             let cfg = SolveConfig {
                 tolerance: Some(1e-12),
                 preconditioner: kind,
                 ..SolveConfig::default()
             };
-            let report = GpuRefBackend::a100().solve(&w, &cfg).unwrap();
+            let report = GpuRefBackend::a100()
+                .solve(SolveRequest::new(&w, &cfg))
+                .unwrap();
             assert!(report.converged(), "{} did not converge", kind.label());
             let diff = report.max_abs_diff(&base);
             assert!(diff < 1e-3, "{} pressure gap {diff}", kind.label());
@@ -245,7 +251,9 @@ mod tests {
     #[test]
     fn transfers_and_model_are_populated() {
         let w = WorkloadSpec::fig5(Dims::new(8, 6, 5)).build();
-        let report = GpuRefBackend::h100().solve(&w, &config(1e-12)).unwrap();
+        let report = GpuRefBackend::h100()
+            .solve(SolveRequest::new(&w, &config(1e-12)))
+            .unwrap();
         let device = report.device.as_ref().unwrap();
         assert!(device.counter("host_to_device_bytes").unwrap() > 0.0);
         assert!(device.counter("device_to_host_bytes").unwrap() > 0.0);
@@ -257,9 +265,11 @@ mod tests {
     fn a100_is_modelled_slower_than_h100() {
         let w = WorkloadSpec::quickstart().build();
         let a = GpuRefBackend::a100()
-            .solve(&w.clone(), &config(1e-8))
+            .solve(SolveRequest::new(&w.clone(), &config(1e-8)))
             .unwrap();
-        let h = GpuRefBackend::h100().solve(&w, &config(1e-8)).unwrap();
+        let h = GpuRefBackend::h100()
+            .solve(SolveRequest::new(&w, &config(1e-8)))
+            .unwrap();
         assert!(a.modelled_time().unwrap() > h.modelled_time().unwrap());
     }
 }

@@ -59,7 +59,7 @@ fn streamed_events_are_bitwise_the_inprocess_history_on_every_backend() {
         let mut recorder = RecordingMonitor::new();
         let report = spec
             .to_job_spec(None)
-            .execute_streamed(None, &Span::null(), Some(&mut recorder))
+            .execute_with(None, &Span::null(), Some(&mut recorder), None)
             .expect("in-process solve");
 
         assert_eq!(

@@ -9,28 +9,27 @@
 //! * [`SolveConfig`] — the normalized cross-backend settings (tolerance,
 //!   iteration cap, host precision), with `None` meaning "use the workload's
 //!   own defaults";
-//! * [`SolveBackend`] — one object-safe trait every solver implements;
+//! * [`SolveRequest`] — one solve's inputs: workload, config, monitor, span
+//!   and an optional warm [`SolveContextCache`];
+//! * [`SolveBackend`] — one object-safe trait every solver implements, with
+//!   one solve entry point, [`SolveBackend::solve`];
 //! * [`SolveReport`] — one report shape: pressure normalized to `f64`,
 //!   convergence history, final residual, and an optional [`DeviceSection`]
 //!   for backends that model device time;
 //! * [`SolveError`] — one error type (backends with richer internal errors,
 //!   like the fabric simulator, stringify into it);
-//! * [`HostBackend`] — the sequential host oracle, implemented right here.
+//! * [`HostBackend`] — the host oracle, implemented right here on
+//!   [`SolveContext`].
 //!
 //! The GPU-style reference and the dataflow solver implement [`SolveBackend`]
 //! in their own crates (`mffv-gpu-ref`, `mffv-core`); the umbrella `mffv` crate
 //! wires all three into the `Simulation` builder.
 
-use crate::cg::ConjugateGradient;
-use crate::context::SolveContextCache;
+use crate::context::{SolveContext, SolveContextCache};
 use crate::convergence::ConvergenceHistory;
-use crate::monitor::{replay_history, NullMonitor, SolveMonitor, StopReason};
-use crate::newton::{solve_pressure_monitored, solve_pressure_preconditioned, PressureSolution};
-use crate::pcg::{JacobiPreconditioner, PreconditionedConjugateGradient};
-use crate::trace::TraceMonitor;
+use crate::monitor::{NullMonitor, SolveMonitor, StopReason};
 use crate::transient::{PlannedStepper, StepOutcome, StepRequest, TransientStepper};
 use mffv_fv::residual::residual;
-use mffv_fv::{MatrixFreeOperator, MgConfig, MultigridVcycle};
 use mffv_mesh::{CellField, Scalar, Workload};
 use mffv_telemetry::{Span, Stopwatch};
 
@@ -244,12 +243,13 @@ impl SolveReport {
 /// `Box<dyn std::error::Error>`:
 ///
 /// ```
-/// use mffv_solver::backend::{HostBackend, SolveBackend, SolveConfig};
+/// use mffv_solver::backend::{HostBackend, SolveBackend, SolveConfig, SolveRequest};
 /// use mffv_mesh::WorkloadSpec;
 ///
 /// fn main() -> Result<(), Box<dyn std::error::Error>> {
 ///     let w = WorkloadSpec::quickstart().build();
-///     let report = HostBackend::oracle().solve(&w, &SolveConfig::default())?;
+///     let config = SolveConfig::default();
+///     let report = HostBackend::oracle().solve(SolveRequest::new(&w, &config))?;
 ///     assert!(report.converged());
 ///     Ok(())
 /// }
@@ -343,93 +343,100 @@ pub fn final_residual_max_f64(workload: &Workload, pressure: &CellField<f64>) ->
     residual(pressure, workload.transmissibility(), workload.dirichlet()).max_abs()
 }
 
+/// Everything one solve takes: the problem, the settings, and how the caller
+/// watches it.
+///
+/// [`SolveRequest::new`] is the plain one-shot form: a null monitor, a null
+/// span and no cache.  The `with_*` methods attach each of the three.
+///
+/// ```
+/// use mffv_solver::backend::{HostBackend, SolveBackend, SolveConfig, SolveRequest};
+/// use mffv_solver::monitor::RecordingMonitor;
+/// use mffv_mesh::WorkloadSpec;
+///
+/// let w = WorkloadSpec::quickstart().build();
+/// let config = SolveConfig::default();
+/// let mut recorder = RecordingMonitor::new();
+/// let report = HostBackend::oracle()
+///     .solve(SolveRequest::new(&w, &config).with_monitor(&mut recorder))
+///     .unwrap();
+/// assert_eq!(recorder.iteration_rrs().len(), report.iterations());
+/// ```
+pub struct SolveRequest<'a> {
+    /// The problem to solve.
+    pub workload: &'a Workload,
+    /// Cross-backend solve settings.
+    pub config: &'a SolveConfig,
+    /// Receives a [`SolveEvent`](crate::monitor::SolveEvent) at every
+    /// iteration boundary, with `rr` payloads bitwise identical to the
+    /// report's `ConvergenceHistory` entries, and may stop the solve by
+    /// returning [`Flow::Stop`](crate::monitor::Flow::Stop).  A stopped
+    /// solve returns its partial report with [`SolveReport::stopped`] set.
+    pub monitor: &'a mut dyn SolveMonitor,
+    /// Phase spans are recorded under this span (see [`crate::trace`]); a
+    /// null span records nothing.  Tracing never touches solve arithmetic:
+    /// traced and untraced reports are bitwise identical.
+    pub span: &'a Span,
+    /// A worker-owned warm cache.  The host backend solves on its contexts
+    /// (bitwise identical to a fresh context); device-style backends ignore
+    /// it.
+    pub cache: Option<&'a mut SolveContextCache>,
+}
+
+/// The span of an untraced request.
+static NULL_SPAN: Span = Span::null();
+
+impl<'a> SolveRequest<'a> {
+    /// An unmonitored, untraced request that uses no cache.
+    pub fn new(workload: &'a Workload, config: &'a SolveConfig) -> Self {
+        Self {
+            workload,
+            config,
+            // `NullMonitor` is zero-sized: boxing it allocates nothing, so
+            // leaking the box is free.
+            monitor: Box::leak(Box::new(NullMonitor)),
+            span: &NULL_SPAN,
+            cache: None,
+        }
+    }
+
+    /// Observe (and possibly stop) the solve through `monitor`.
+    pub fn with_monitor(mut self, monitor: &'a mut dyn SolveMonitor) -> Self {
+        self.monitor = monitor;
+        self
+    }
+
+    /// Record phase spans under `span`.
+    pub fn with_span(mut self, span: &'a Span) -> Self {
+        self.span = span;
+        self
+    }
+
+    /// Solve on the worker-owned warm `cache`.
+    pub fn with_cache(mut self, cache: &'a mut SolveContextCache) -> Self {
+        self.cache = Some(cache);
+        self
+    }
+}
+
 /// One pressure-solve target: host oracle, GPU-style reference, dataflow
 /// fabric, or anything future PRs register.
 ///
-/// The trait is object-safe and stays so: [`solve_monitored`] has a default
-/// implementation, so existing backends (and trait objects) keep compiling
-/// and working unchanged.
-///
-/// [`solve_monitored`]: Self::solve_monitored
+/// The trait is object-safe.  [`solve`](Self::solve) is its one solve entry
+/// point; every backend threads the request's monitor through its live inner
+/// loop, so deadlines and cancellation take effect within one iteration
+/// boundary.
 pub trait SolveBackend {
     /// Unique, stable name ("host-f64", "gpu-ref-A100", "dataflow"…).
     fn name(&self) -> String;
 
-    /// Solve `workload`'s pressure problem under `config`.
-    fn solve(&self, workload: &Workload, config: &SolveConfig) -> Result<SolveReport, SolveError>;
-
-    /// Solve `workload` as an observable, cancellable session: `monitor`
-    /// receives a [`SolveEvent`](crate::monitor::SolveEvent) at every
-    /// iteration boundary — with `rr` payloads bitwise identical to the
-    /// report's `ConvergenceHistory` entries — and may stop the solve by
-    /// returning [`Flow::Stop`](crate::monitor::Flow::Stop), in which case
-    /// the partial report is returned with [`SolveReport::stopped`] set.
-    ///
-    /// The default implementation runs [`solve`](Self::solve) to completion
-    /// and *replays* the finished history as an event stream: observation
-    /// works, control does not.  Backends with live inner loops (the three
-    /// paper targets all do) override this with real mid-solve event
-    /// threading, which is what makes deadlines and cancellation take effect
-    /// within one iteration boundary.
-    fn solve_monitored(
-        &self,
-        workload: &Workload,
-        config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
-    ) -> Result<SolveReport, SolveError> {
-        let report = self.solve(workload, config)?;
-        replay_history(&report.history, report.stopped, monitor);
-        Ok(report)
-    }
-
-    /// Solve as an observable session that additionally records phase
-    /// spans under `span` (see [`crate::trace`]).
-    ///
-    /// On a null (non-recording) span this **is**
-    /// [`solve_monitored`](Self::solve_monitored) — no wrapper, no extra
-    /// per-iteration work — so callers can leave tracing wired in
-    /// permanently.  On a recording span the default implementation wraps
-    /// `monitor` in a [`TraceMonitor`], which mirrors the event stream
-    /// into a `cg-loop` span with per-chunk `iters` children.  Tracing
-    /// never touches solve arithmetic: traced and untraced reports are
-    /// bitwise identical (pinned per backend in `tests/telemetry.rs`).
-    /// Backends override this to add their own phase spans (the host adds
-    /// `build-operator`).
-    fn solve_traced(
-        &self,
-        workload: &Workload,
-        config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
-        span: &Span,
-    ) -> Result<SolveReport, SolveError> {
-        if !span.is_recording() {
-            return self.solve_monitored(workload, config, monitor);
-        }
-        let mut traced = TraceMonitor::new(span, monitor);
-        self.solve_monitored(workload, config, &mut traced)
-    }
-
-    /// Solve on a warm, worker-owned [`SolveContextCache`]: the
-    /// zero-allocation steady-state serving path.
-    ///
-    /// Engine workers call this with the per-worker cache they keep across
-    /// jobs.  Backends with pooled state (the host backend) reuse the cached
-    /// operator/preconditioner and scratch arena when the workload key
-    /// matches, producing a report **bitwise identical** to
-    /// [`solve_traced`](Self::solve_traced); the default implementation just
-    /// forwards to `solve_traced`, so device-style backends behave exactly
-    /// as before and the cache is inert for them.
-    fn solve_pooled(
-        &self,
-        workload: &Workload,
-        config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
-        span: &Span,
-        cache: &mut SolveContextCache,
-    ) -> Result<SolveReport, SolveError> {
-        let _ = cache;
-        self.solve_traced(workload, config, monitor, span)
-    }
+    /// Solve `request.workload`'s pressure problem under `request.config`,
+    /// reporting every iteration boundary to `request.monitor` and recording
+    /// phase spans under `request.span`.  The monitor is wrapped in a
+    /// [`TraceMonitor`](crate::trace::TraceMonitor), which mirrors the event
+    /// stream into a `cg-loop` span with per-chunk `iters` children; backends
+    /// add their own build spans (the host adds `build-operator`).
+    fn solve(&self, request: SolveRequest<'_>) -> Result<SolveReport, SolveError>;
 
     /// The arithmetic precision this backend steps transient systems at.
     ///
@@ -443,7 +450,7 @@ pub trait SolveBackend {
     /// Advance one backward-Euler step of a transient scenario (see
     /// [`crate::transient`]): solve `(A + D + W) δ = r(pⁿ) + q(pⁿ)` and
     /// return `p^{n+1}`, with `monitor` threaded through the step's inner
-    /// CG loop exactly like [`solve_monitored`](Self::solve_monitored).
+    /// CG loop exactly like [`SolveRequest::monitor`].
     ///
     /// The default implementation runs the shared shifted-CG step on the
     /// host's planned stencil kernels at [`step_precision`](Self::step_precision)
@@ -480,8 +487,9 @@ pub trait SolveBackend {
     }
 }
 
-/// The sequential host oracle (`solve_pressure` behind the trait): matrix-free
-/// CG at a selectable precision, no device model.
+/// The host oracle: matrix-free CG or PCG at a selectable precision, no
+/// device model.  Every solve runs [`SolveContext::solve`], on the request's
+/// cache when it carries one and on a fresh one-shot context otherwise.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HostBackend {
     /// Arithmetic precision of the solve.
@@ -502,6 +510,36 @@ impl HostBackend {
             precision: Precision::F32,
         }
     }
+
+    /// Run one solve on `ctx` and assemble its report.
+    fn solve_on<T: Scalar>(
+        &self,
+        ctx: &mut SolveContext<T>,
+        workload: &Workload,
+        config: &SolveConfig,
+        monitor: &mut dyn SolveMonitor,
+        span: &Span,
+    ) -> SolveReport {
+        let start = Stopwatch::start();
+        let stopped = ctx.solve(workload, config, monitor, span);
+        let pressure: CellField<f64> = ctx.pressure().convert();
+        let final_residual_max = match self.precision {
+            Precision::F64 => ctx.final_residual_max(),
+            // Re-evaluate the residual in f64 so the field keeps its
+            // backend-independent contract (the f32 solve evaluated it in
+            // device precision).
+            Precision::F32 => final_residual_max_f64(workload, &pressure),
+        };
+        SolveReport {
+            backend: self.name(),
+            pressure,
+            history: ctx.history().clone(),
+            final_residual_max,
+            host_wall_seconds: start.elapsed().as_secs_f64(),
+            device: None,
+            stopped,
+        }
+    }
 }
 
 impl SolveBackend for HostBackend {
@@ -513,175 +551,36 @@ impl SolveBackend for HostBackend {
         self.precision
     }
 
-    fn solve(&self, workload: &Workload, config: &SolveConfig) -> Result<SolveReport, SolveError> {
-        self.solve_monitored(workload, config, &mut NullMonitor)
-    }
-
-    fn solve_monitored(
-        &self,
-        workload: &Workload,
-        config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
-    ) -> Result<SolveReport, SolveError> {
-        self.solve_traced(workload, config, monitor, &Span::null())
-    }
-
-    fn solve_traced(
-        &self,
-        workload: &Workload,
-        config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
-        span: &Span,
-    ) -> Result<SolveReport, SolveError> {
-        let start = Stopwatch::start();
-        let (pressure, history, final_residual_max, stopped) = match self.precision {
-            Precision::F64 => {
-                let solution = host_solve_pressure::<f64>(workload, config, monitor, span);
-                (
-                    solution.pressure,
-                    solution.history,
-                    solution.final_residual_max,
-                    solution.stopped,
-                )
+    fn solve(&self, request: SolveRequest<'_>) -> Result<SolveReport, SolveError> {
+        let SolveRequest {
+            workload,
+            config,
+            monitor,
+            span,
+            cache,
+        } = request;
+        Ok(match (self.precision, cache) {
+            (Precision::F64, Some(cache)) => {
+                self.solve_on(&mut cache.f64_context, workload, config, monitor, span)
             }
-            Precision::F32 => {
-                let solution = host_solve_pressure::<f32>(workload, config, monitor, span);
-                let pressure: CellField<f64> = solution.pressure.convert();
-                // Re-evaluate the residual in f64 so the field keeps its
-                // backend-independent contract (the f32 solve evaluated it in
-                // device precision).
-                let final_residual_max = final_residual_max_f64(workload, &pressure);
-                (
-                    pressure,
-                    solution.history,
-                    final_residual_max,
-                    solution.stopped,
-                )
+            (Precision::F32, Some(cache)) => {
+                self.solve_on(&mut cache.f32_context, workload, config, monitor, span)
             }
-        };
-        Ok(SolveReport {
-            backend: self.name(),
-            pressure,
-            history,
-            final_residual_max,
-            host_wall_seconds: start.elapsed().as_secs_f64(),
-            device: None,
-            stopped,
+            (Precision::F64, None) => self.solve_on(
+                &mut SolveContext::<f64>::one_shot(),
+                workload,
+                config,
+                monitor,
+                span,
+            ),
+            (Precision::F32, None) => self.solve_on(
+                &mut SolveContext::<f32>::one_shot(),
+                workload,
+                config,
+                monitor,
+                span,
+            ),
         })
-    }
-
-    fn solve_pooled(
-        &self,
-        workload: &Workload,
-        config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
-        span: &Span,
-        cache: &mut SolveContextCache,
-    ) -> Result<SolveReport, SolveError> {
-        let start = Stopwatch::start();
-        let (pressure, history, final_residual_max, stopped) = match self.precision {
-            Precision::F64 => {
-                let ctx = &mut cache.f64_context;
-                let stopped = ctx.solve(workload, config, monitor, span);
-                (
-                    ctx.pressure().clone(),
-                    ctx.history().clone(),
-                    ctx.final_residual_max(),
-                    stopped,
-                )
-            }
-            Precision::F32 => {
-                let ctx = &mut cache.f32_context;
-                let stopped = ctx.solve(workload, config, monitor, span);
-                let pressure: CellField<f64> = ctx.pressure().convert();
-                // Same contract as the un-pooled f32 path: the reported
-                // residual is re-evaluated on the host in f64.
-                let final_residual_max = final_residual_max_f64(workload, &pressure);
-                (pressure, ctx.history().clone(), final_residual_max, stopped)
-            }
-        };
-        Ok(SolveReport {
-            backend: self.name(),
-            pressure,
-            history,
-            final_residual_max,
-            host_wall_seconds: start.elapsed().as_secs_f64(),
-            device: None,
-            stopped,
-        })
-    }
-}
-
-/// The host pressure solve at one precision: build the planned operator, then
-/// run the Krylov loop selected by [`SolveConfig::preconditioner`].  Every
-/// path threads the monitor (wrapped in a [`TraceMonitor`] when `span`
-/// records) through the live inner loop, so cancellation and deadlines keep
-/// working identically under any preconditioner.
-fn host_solve_pressure<T: Scalar>(
-    workload: &Workload,
-    config: &SolveConfig,
-    monitor: &mut dyn SolveMonitor,
-    span: &Span,
-) -> PressureSolution<T> {
-    let tolerance = config.effective_tolerance(workload);
-    let max_iterations = config.effective_max_iterations(workload);
-    let threads = config.effective_threads();
-    let build = span.child("build-operator");
-    let operator = MatrixFreeOperator::<T>::from_workload(workload).with_threads(threads);
-    build.finish();
-    match config.preconditioner {
-        PreconditionerKind::None => {
-            let solver = ConjugateGradient::with_tolerance(tolerance, max_iterations);
-            if span.is_recording() {
-                let mut traced = TraceMonitor::new(span, monitor);
-                solve_pressure_monitored::<T, _>(workload, &operator, &solver, &mut traced)
-            } else {
-                solve_pressure_monitored::<T, _>(workload, &operator, &solver, monitor)
-            }
-        }
-        PreconditionerKind::Jacobi => {
-            let pc = JacobiPreconditioner::from_coefficients(
-                operator.coefficients(),
-                workload.dirichlet(),
-            );
-            let solver = PreconditionedConjugateGradient::with_tolerance(tolerance, max_iterations);
-            if span.is_recording() {
-                let mut traced = TraceMonitor::new(span, monitor);
-                solve_pressure_preconditioned::<T, _, _>(
-                    workload,
-                    &operator,
-                    &pc,
-                    &solver,
-                    &mut traced,
-                    span,
-                )
-            } else {
-                solve_pressure_preconditioned::<T, _, _>(
-                    workload, &operator, &pc, &solver, monitor, span,
-                )
-            }
-        }
-        PreconditionerKind::Mg => {
-            let mg_build = span.child("mg.build");
-            let pc = MultigridVcycle::<T>::from_workload(workload, threads, MgConfig::default());
-            mg_build.finish();
-            let solver = PreconditionedConjugateGradient::with_tolerance(tolerance, max_iterations);
-            if span.is_recording() {
-                let mut traced = TraceMonitor::new(span, monitor);
-                solve_pressure_preconditioned::<T, _, _>(
-                    workload,
-                    &operator,
-                    &pc,
-                    &solver,
-                    &mut traced,
-                    span,
-                )
-            } else {
-                solve_pressure_preconditioned::<T, _, _>(
-                    workload, &operator, &pc, &solver, monitor, span,
-                )
-            }
-        }
     }
 }
 
@@ -709,7 +608,7 @@ mod tests {
     fn host_backend_solves_and_reports() {
         let w = WorkloadSpec::quickstart().build();
         let report = HostBackend::oracle()
-            .solve(&w, &SolveConfig::default())
+            .solve(SolveRequest::new(&w, &SolveConfig::default()))
             .unwrap();
         assert_eq!(report.backend, "host-f64");
         assert!(report.converged());
@@ -726,8 +625,12 @@ mod tests {
             tolerance: Some(1e-10),
             ..SolveConfig::default()
         };
-        let f64_report = HostBackend::oracle().solve(&w, &config).unwrap();
-        let f32_report = HostBackend::f32().solve(&w, &config).unwrap();
+        let f64_report = HostBackend::oracle()
+            .solve(SolveRequest::new(&w, &config))
+            .unwrap();
+        let f32_report = HostBackend::f32()
+            .solve(SolveRequest::new(&w, &config))
+            .unwrap();
         assert_eq!(f32_report.backend, "host-f32");
         assert!(f64_report.max_abs_diff(&f32_report) < 1e-3);
     }
@@ -757,54 +660,6 @@ mod tests {
         let _: Box<dyn std::error::Error> = Box::new(s);
     }
 
-    /// A third-party backend that only implements the required methods: the
-    /// default `solve_monitored` must replay the finished history so
-    /// observation keeps working without live threading.
-    struct ReplayOnlyBackend;
-
-    impl SolveBackend for ReplayOnlyBackend {
-        fn name(&self) -> String {
-            "replay-only".into()
-        }
-        fn solve(
-            &self,
-            workload: &Workload,
-            config: &SolveConfig,
-        ) -> Result<SolveReport, SolveError> {
-            HostBackend::oracle()
-                .solve(workload, config)
-                .map(|mut report| {
-                    report.backend = self.name();
-                    report
-                })
-        }
-    }
-
-    #[test]
-    fn default_solve_monitored_replays_the_history() {
-        use crate::monitor::RecordingMonitor;
-        let w = WorkloadSpec::quickstart().build();
-        let mut recorder = RecordingMonitor::new();
-        let report = ReplayOnlyBackend
-            .solve_monitored(&w, &SolveConfig::default(), &mut recorder)
-            .unwrap();
-        assert_eq!(report.backend, "replay-only");
-        let streamed: Vec<u64> = recorder
-            .iteration_rrs()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        let recorded: Vec<u64> = report.history.residual_norms_squared[1..]
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        assert_eq!(streamed, recorded);
-        assert_eq!(
-            recorder.initial_rr().unwrap().to_bits(),
-            report.history.initial_rr().to_bits()
-        );
-    }
-
     #[test]
     fn host_backend_reports_a_deadline_stop_with_partial_state() {
         use crate::monitor::StopPolicy;
@@ -817,7 +672,7 @@ mod tests {
             .deadline(std::time::Duration::ZERO)
             .session();
         let report = HostBackend::oracle()
-            .solve_monitored(&w, &config, &mut session)
+            .solve(SolveRequest::new(&w, &config).with_monitor(&mut session))
             .unwrap();
         assert_eq!(report.stopped, Some(StopReason::DeadlineExpired));
         assert!(!report.converged());

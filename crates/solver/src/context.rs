@@ -5,15 +5,20 @@
 //! on every request.  [`SolveContext`] keeps all of that warm across solves,
 //! keyed the same way [`crate::transient::PlannedStepper`] caches across
 //! transient steps: identical dims + Dirichlet topology + transmissibility
-//! values + diagonal shift ⇒ reuse, anything else ⇒ rebuild.  The cached path
-//! is **bitwise identical** to the one-shot
-//! [`HostBackend`](crate::backend::HostBackend) path — every reused buffer is
-//! fully overwritten before it is read (see [`CgScratch`]) — so turning the
-//! cache on or off never changes a residual history.
+//! values + diagonal shift ⇒ reuse, anything else ⇒ rebuild.  A warm context
+//! is **bitwise identical** to a fresh one — every reused buffer is fully
+//! overwritten before it is read (see [`CgScratch`]) — so turning the cache on
+//! or off never changes a residual history.
+//!
+//! [`SolveContext::solve`] is the host's one steady solve pipeline:
+//! [`HostBackend`](crate::backend::HostBackend) runs every solve through it,
+//! on a cached context or on a fresh one-shot context that skips the key
+//! fingerprints.  The allocate-per-solve Newton solve of [`crate::newton`] is
+//! its independent reference.
 //!
 //! [`SolveContextCache`] bundles one context per host precision plus a
-//! spec-keyed [`Workload`] cache; the engine gives each worker one and
-//! threads it through [`SolveBackend::solve_pooled`](crate::backend::SolveBackend::solve_pooled).
+//! spec-keyed [`Workload`] cache; the engine gives each worker one and hands
+//! it to the backend in [`SolveRequest::cache`](crate::backend::SolveRequest::cache).
 
 use crate::backend::{PreconditionerKind, SolveConfig};
 use crate::cg::ConjugateGradient;
@@ -21,7 +26,9 @@ use crate::convergence::ConvergenceHistory;
 use crate::monitor::{SolveMonitor, StopReason};
 use crate::pcg::{JacobiPreconditioner, PreconditionedConjugateGradient};
 use crate::trace::TraceMonitor;
-use mffv_fv::{newton_rhs_into, residual_into, MatrixFreeOperator, MgConfig, MultigridVcycle};
+use mffv_fv::{
+    newton_rhs_into, residual_into, MatrixFreeOperator, MgConfig, MultigridVcycle, Preconditioner,
+};
 use mffv_mesh::{CellField, Dims, Fnv1a, Scalar, Workload, WorkloadSpec};
 use mffv_telemetry::Span;
 
@@ -174,9 +181,20 @@ enum ContextPrecond<T: Scalar> {
     Mg(MultigridVcycle<T>),
 }
 
-/// A cached operator + preconditioner pair and the key it was built for.
+impl<T: Scalar> ContextPrecond<T> {
+    fn as_dyn(&self) -> Option<&dyn Preconditioner<T>> {
+        match self {
+            ContextPrecond::None => None,
+            ContextPrecond::Jacobi(pc) => Some(pc),
+            ContextPrecond::Mg(pc) => Some(pc),
+        }
+    }
+}
+
+/// A cached operator + preconditioner pair and the key it was built for
+/// (`None` on a one-shot context, which is never compared).
 struct ContextState<T: Scalar> {
-    key: ContextKey,
+    key: Option<ContextKey>,
     operator: MatrixFreeOperator<T>,
     precond: ContextPrecond<T>,
 }
@@ -212,25 +230,33 @@ impl ContextStats {
 /// [`solve`](Self::solve) performs **zero heap allocations** for the
 /// `None`/`Jacobi` preconditioner kinds (the MG V-cycle's coarse solve still
 /// allocates internally), and its pressure, history and final residual are
-/// bitwise identical to [`HostBackend`](crate::backend::HostBackend)'s
-/// one-shot path — pinned by `tests/alloc_regression.rs` and the cache
-/// equivalence tests.
+/// bitwise identical to a cold context's and to the allocate-per-solve
+/// [`crate::newton`] solve — pinned by `tests/alloc_regression.rs`,
+/// `tests/host_reference.rs` and the cache equivalence tests.
 #[derive(Default)]
 pub struct SolveContext<T: Scalar> {
     state: Option<ContextState<T>>,
     scratch: Option<CgScratch<T>>,
     newton: Option<NewtonScratch<T>>,
     stats: ContextStats,
+    /// Set on a context built for a single solve: it is never compared, so
+    /// [`prepare`](Self::prepare) skips the [`ContextKey`] fingerprints.
+    one_shot: bool,
 }
 
 impl<T: Scalar> SolveContext<T> {
     /// A cold context: first solve builds everything.
     pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A context for exactly one solve.  It never compares keys, so it
+    /// skips the fingerprints (O(cells) per solve) that only pay off on
+    /// reuse; its results are bitwise identical to a [`new`](Self::new) one.
+    pub(crate) fn one_shot() -> Self {
         Self {
-            state: None,
-            scratch: None,
-            newton: None,
-            stats: ContextStats::default(),
+            one_shot: true,
+            ..Self::default()
         }
     }
 
@@ -247,7 +273,8 @@ impl<T: Scalar> SolveContext<T> {
     /// (job-to-worker assignment varies with worker count, and shape is
     /// pinned across worker counts by `tests/telemetry.rs`).  The cache
     /// counters, not span presence, are the reuse observable; a hit costs
-    /// two fingerprints and a key compare.
+    /// two fingerprints and a key compare.  A one-shot context always
+    /// rebuilds and computes no key.
     pub fn prepare(
         &mut self,
         workload: &Workload,
@@ -256,9 +283,9 @@ impl<T: Scalar> SolveContext<T> {
         shift: Option<&CellField<f64>>,
         span: &Span,
     ) -> bool {
-        let key = ContextKey::of(workload, threads, kind, shift);
-        if let Some(state) = &self.state {
-            if state.key == key {
+        let key = (!self.one_shot).then(|| ContextKey::of(workload, threads, kind, shift));
+        if let (Some(state), Some(key)) = (&self.state, key) {
+            if state.key == Some(key) {
                 self.stats.hits += 1;
                 // Emit the build-phase skeleton even when nothing rebuilds:
                 // a null span makes these free, and a recording span keeps
@@ -322,12 +349,11 @@ impl<T: Scalar> SolveContext<T> {
         false
     }
 
-    /// Run one steady pressure solve on the warm context, mirroring
-    /// [`HostBackend`](crate::backend::HostBackend)'s un-pooled path bitwise:
-    /// same operator build parameters, same Newton step, same Krylov loop,
-    /// same monitor/tracing semantics.  Results stay in the context's own
-    /// buffers — read them through [`pressure`](Self::pressure),
-    /// [`history`](Self::history) and
+    /// Run one steady pressure solve on the context: one Newton step whose
+    /// Krylov loop (CG, or PCG under the configured preconditioner) reports
+    /// to `monitor` through a [`TraceMonitor`] under `span`.  Results stay in
+    /// the context's own buffers — read them through
+    /// [`pressure`](Self::pressure), [`history`](Self::history) and
     /// [`final_residual_max`](Self::final_residual_max).
     pub fn solve(
         &mut self,
@@ -378,68 +404,25 @@ impl<T: Scalar> SolveContext<T> {
         );
         newton_rhs_into(&newton.residual, workload.dirichlet(), &mut newton.rhs);
 
-        let stopped = match &state.precond {
-            ContextPrecond::None => {
-                let solver = ConjugateGradient::with_tolerance(tolerance, max_iterations);
-                if span.is_recording() {
-                    let mut traced = TraceMonitor::new(span, monitor);
-                    solver.solve_into(&state.operator, &newton.rhs, None, &mut traced, scratch)
-                } else {
-                    solver.solve_into(&state.operator, &newton.rhs, None, monitor, scratch)
-                }
-            }
-            ContextPrecond::Jacobi(pc) => {
-                let solver =
-                    PreconditionedConjugateGradient::with_tolerance(tolerance, max_iterations);
-                if span.is_recording() {
-                    let mut traced = TraceMonitor::new(span, monitor);
-                    solver.solve_traced_into(
-                        &state.operator,
-                        pc,
-                        &newton.rhs,
-                        None,
-                        &mut traced,
-                        span,
-                        scratch,
-                    )
-                } else {
-                    solver.solve_traced_into(
-                        &state.operator,
-                        pc,
-                        &newton.rhs,
-                        None,
-                        monitor,
-                        span,
-                        scratch,
-                    )
-                }
-            }
-            ContextPrecond::Mg(pc) => {
-                let solver =
-                    PreconditionedConjugateGradient::with_tolerance(tolerance, max_iterations);
-                if span.is_recording() {
-                    let mut traced = TraceMonitor::new(span, monitor);
-                    solver.solve_traced_into(
-                        &state.operator,
-                        pc,
-                        &newton.rhs,
-                        None,
-                        &mut traced,
-                        span,
-                        scratch,
-                    )
-                } else {
-                    solver.solve_traced_into(
-                        &state.operator,
-                        pc,
-                        &newton.rhs,
-                        None,
-                        monitor,
-                        span,
-                        scratch,
-                    )
-                }
-            }
+        let mut monitor = TraceMonitor::new(span, monitor);
+        let stopped = match state.precond.as_dyn() {
+            None => ConjugateGradient::with_tolerance(tolerance, max_iterations).solve_into(
+                &state.operator,
+                &newton.rhs,
+                None,
+                &mut monitor,
+                scratch,
+            ),
+            Some(pc) => PreconditionedConjugateGradient::with_tolerance(tolerance, max_iterations)
+                .solve_traced_into(
+                    &state.operator,
+                    pc,
+                    &newton.rhs,
+                    None,
+                    &mut monitor,
+                    span,
+                    scratch,
+                ),
         };
 
         newton.pressure.axpy(T::ONE, &scratch.solution);
@@ -480,9 +463,8 @@ impl<T: Scalar> SolveContext<T> {
     }
 
     /// Max-norm of the Eq. (3) residual at the last solve's pressure,
-    /// evaluated at this context's precision (the `HostBackend` pooled path
-    /// re-evaluates in `f64` for `f32` contexts, exactly like its un-pooled
-    /// path).
+    /// evaluated at this context's precision (`HostBackend` re-evaluates it
+    /// in `f64` for `f32` contexts).
     ///
     /// # Panics
     ///
@@ -616,12 +598,14 @@ mod tests {
 
     #[test]
     fn pooled_solve_matches_unpooled_bitwise_and_reuses_context() {
-        use crate::backend::{HostBackend, SolveBackend};
+        use crate::backend::{HostBackend, SolveBackend, SolveRequest};
         use crate::monitor::NullMonitor;
 
         let w = workload();
         let config = SolveConfig::default();
-        let reference = HostBackend::oracle().solve(&w, &config).unwrap();
+        let reference = HostBackend::oracle()
+            .solve(SolveRequest::new(&w, &config))
+            .unwrap();
 
         let mut ctx = SolveContext::<f64>::new();
         for round in 0..3 {
@@ -642,7 +626,7 @@ mod tests {
 
     #[test]
     fn pooled_jacobi_and_mg_match_unpooled_bitwise() {
-        use crate::backend::{HostBackend, SolveBackend};
+        use crate::backend::{HostBackend, SolveBackend, SolveRequest};
         use crate::monitor::NullMonitor;
 
         for kind in [PreconditionerKind::Jacobi, PreconditionerKind::Mg] {
@@ -651,7 +635,9 @@ mod tests {
                 preconditioner: kind,
                 ..SolveConfig::default()
             };
-            let reference = HostBackend::oracle().solve(&w, &config).unwrap();
+            let reference = HostBackend::oracle()
+                .solve(SolveRequest::new(&w, &config))
+                .unwrap();
             let mut ctx = SolveContext::<f64>::new();
             for _ in 0..2 {
                 ctx.solve(&w, &config, &mut NullMonitor, &Span::null());

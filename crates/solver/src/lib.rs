@@ -25,7 +25,7 @@ pub mod transient;
 
 pub use backend::{
     DeviceSection, HostBackend, Precision, PreconditionerKind, SolveBackend, SolveConfig,
-    SolveError, SolveReport,
+    SolveError, SolveReport, SolveRequest,
 };
 pub use cg::{ConjugateGradient, SolveOutcome};
 pub use context::{CgScratch, ContextKey, ContextStats, SolveContext, SolveContextCache};
@@ -48,7 +48,7 @@ pub use transient::{
 pub mod prelude {
     pub use crate::backend::{
         DeviceSection, HostBackend, Precision, PreconditionerKind, SolveBackend, SolveConfig,
-        SolveError, SolveReport,
+        SolveError, SolveReport, SolveRequest,
     };
     pub use crate::cg::{ConjugateGradient, SolveOutcome};
     pub use crate::context::{

@@ -2,9 +2,14 @@
 //!
 //! The single-phase incompressible problem of Eq. (1)–(3) is linear, so a single
 //! Newton step solves it exactly: evaluate the residual at the initial pressure,
-//! solve `A δp = b` with CG, and update.  This driver is the host-side "oracle"
-//! solve that the dataflow implementation (`mffv-core`) and the GPU reference
-//! (`mffv-gpu-ref`) are validated against (§V-B, "Numerical Integrity").
+//! solve `A δp = b` with CG, and update.  It allocates every buffer
+//! per solve and runs on any [`LinearOperator`] (the assembled CSR baseline,
+//! the GPU reference's kernels, …).  The host backend's pooled pipeline,
+//! [`SolveContext::solve`](crate::context::SolveContext::solve), shares none
+//! of its buffers or Krylov entry points, so this module is that pipeline's
+//! independent reference: on the same planned operator and thread count
+//! both give bitwise the same history, pressure and final residual (pinned
+//! by `tests/host_reference.rs`).
 
 use crate::cg::ConjugateGradient;
 use crate::convergence::ConvergenceHistory;

@@ -24,9 +24,9 @@ pub use mffv_telemetry::Span;
 pub const TRACE_CHUNK_ITERS: usize = 32;
 
 /// Wraps an inner monitor, mirroring its event stream into spans under
-/// `parent`.  Construct one only when the parent span is recording — on a
-/// null parent every span operation is a no-op but the wrapper itself
-/// still costs one virtual call per event.
+/// `parent`.  Solve paths build one unconditionally: under a null parent
+/// every span it opens is null, so it allocates nothing and reads no clock,
+/// and its whole cost is one virtual call per event.
 pub struct TraceMonitor<'a> {
     inner: &'a mut dyn SolveMonitor,
     parent: &'a Span,

@@ -34,7 +34,7 @@
 use crate::backend::{PreconditionerKind, SolveBackend, SolveConfig, SolveError, SolveReport};
 use crate::cg::ConjugateGradient;
 use crate::convergence::ConvergenceHistory;
-use crate::monitor::{MonitorFanout, NullMonitor, SolveMonitor, StopPolicy, StopReason};
+use crate::monitor::{with_composed_monitor, SolveMonitor, StopPolicy, StopReason};
 use crate::pcg::{JacobiPreconditioner, PreconditionedConjugateGradient};
 use crate::trace::TraceMonitor;
 use mffv_fv::residual::{interior_mass_imbalance, newton_rhs, residual};
@@ -723,48 +723,18 @@ fn run_transient_inner(
         let step_span = span.child("step");
         let step_started = Stopwatch::start();
         // One monitor per step: the armed policy session (when any rule is
-        // configured), fanned out with the external observer (when one is
-        // attached).  The policy keeps stop precedence by sitting first in
-        // the fanout; a pure observer changes no arithmetic either way, so
-        // every combination below is bitwise-identical on the solve values.
+        // configured) composed with the external observer (when one is
+        // attached), traced under the step span.
         let mut session =
             (!policy.is_empty()).then(|| policy.consume_deadline(started.elapsed()).session());
-        let outcome = match (session.as_mut(), external.as_deref_mut()) {
-            (None, None) => {
-                if step_span.is_recording() {
-                    let mut null = NullMonitor;
-                    let mut traced = TraceMonitor::new(&step_span, &mut null);
-                    stepper.step(&request, config, &mut traced)?
-                } else {
-                    stepper.step(&request, config, &mut NullMonitor)?
-                }
-            }
-            (Some(session), None) => {
-                if step_span.is_recording() {
-                    let mut traced = TraceMonitor::new(&step_span, session);
-                    stepper.step(&request, config, &mut traced)?
-                } else {
-                    stepper.step(&request, config, session)?
-                }
-            }
-            (None, Some(observer)) => {
-                if step_span.is_recording() {
-                    let mut traced = TraceMonitor::new(&step_span, observer);
-                    stepper.step(&request, config, &mut traced)?
-                } else {
-                    stepper.step(&request, config, observer)?
-                }
-            }
-            (Some(session), Some(observer)) => {
-                let mut fanout = MonitorFanout::new().push(session).push(observer);
-                if step_span.is_recording() {
-                    let mut traced = TraceMonitor::new(&step_span, &mut fanout);
-                    stepper.step(&request, config, &mut traced)?
-                } else {
-                    stepper.step(&request, config, &mut fanout)?
-                }
-            }
-        };
+        let outcome =
+            with_composed_monitor(session.as_mut(), external.as_deref_mut(), |monitor| {
+                stepper.step(
+                    &request,
+                    config,
+                    &mut TraceMonitor::new(&step_span, monitor),
+                )
+            })?;
         let step_wall = step_started.elapsed_seconds();
         let accounting = step_span.child("accounting");
 

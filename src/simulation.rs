@@ -31,8 +31,8 @@ use crate::backend::Backend;
 use crate::report::{AgreementReport, SolveReport};
 use mffv_engine::{BatchReport, Engine, JobSpec};
 use mffv_mesh::{TransientSpec, Workload, WorkloadSpec};
-use mffv_solver::backend::{Precision, PreconditionerKind, SolveConfig, SolveError};
-use mffv_solver::monitor::{CancelToken, MonitorFanout, NullMonitor, SolveMonitor, StopPolicy};
+use mffv_solver::backend::{Precision, PreconditionerKind, SolveConfig, SolveError, SolveRequest};
+use mffv_solver::monitor::{with_composed_monitor, CancelToken, SolveMonitor, StopPolicy};
 use mffv_solver::transient::{run_transient_traced, TransientReport};
 use mffv_telemetry::{Span, Tracer};
 use std::collections::BTreeMap;
@@ -173,9 +173,9 @@ impl Simulation {
     /// Run the primary backend (the first registered one, or the host oracle
     /// when none was registered) and return its unified report.
     ///
-    /// With no stop policy attached this is the exact unmonitored solve path
-    /// (bitwise identical to earlier releases); with one, the solve runs as
-    /// a monitored session governed by the policy.
+    /// With no stop policy attached the solve runs unmonitored; with one,
+    /// it runs as a session governed by the policy.  Both give bitwise the
+    /// same values for a solve the policy does not stop.
     pub fn run(&self) -> Result<SolveReport, SolveError> {
         self.run_backend(&self.primary_backend())
     }
@@ -187,10 +187,7 @@ impl Simulation {
     /// [`Flow::Stop`](mffv_solver::Flow::Stop).  Any attached stop policy is
     /// active alongside and takes precedence.
     pub fn monitor(&self, monitor: &mut dyn SolveMonitor) -> Result<SolveReport, SolveError> {
-        let backend = self.primary_backend();
-        let mut session = self.policy.session();
-        let fanout = MonitorFanout::new().push(&mut session).push(monitor);
-        self.solve_on(&backend, Some(fanout))
+        self.solve_on(&self.primary_backend(), Some(monitor))
     }
 
     /// Run one specific backend under this simulation's workload, config and
@@ -283,32 +280,22 @@ impl Simulation {
         }
     }
 
-    /// Dispatch one backend solve, monitored only when there is something to
-    /// observe or enforce — the policy-free, monitor-free, tracer-free path
-    /// stays the plain `solve()` call.
+    /// Dispatch one backend solve under the stop policy's session (when any
+    /// rule is set) and `observer` (when given).
     fn solve_on(
         &self,
         backend: &Backend,
-        extra: Option<MonitorFanout<'_>>,
+        observer: Option<&mut dyn SolveMonitor>,
     ) -> Result<SolveReport, SolveError> {
-        let live = backend.instantiate();
         let span = self.root_span("solve", backend);
-        match extra {
-            Some(mut fanout) => live.solve_traced(&self.workload, &self.config, &mut fanout, &span),
-            None if self.policy.is_empty() => {
-                if span.is_recording() {
-                    live.solve_traced(&self.workload, &self.config, &mut NullMonitor, &span)
-                } else {
-                    live.solve(&self.workload, &self.config)
-                }
-            }
-            None => live.solve_traced(
-                &self.workload,
-                &self.config,
-                &mut self.policy.session(),
-                &span,
-            ),
-        }
+        let mut session = (!self.policy.is_empty()).then(|| self.policy.session());
+        with_composed_monitor(session.as_mut(), observer, |monitor| {
+            backend.instantiate().solve(
+                SolveRequest::new(&self.workload, &self.config)
+                    .with_monitor(monitor)
+                    .with_span(&span),
+            )
+        })
     }
 
     /// Run every registered backend — or [`Backend::standard_set`] when none

@@ -14,7 +14,7 @@
 //! deliberately outside the zero-allocation contract.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use mffv_mesh::{Workload, WorkloadSpec};
 use mffv_solver::backend::{PreconditionerKind, SolveConfig};
@@ -22,10 +22,19 @@ use mffv_solver::context::SolveContext;
 use mffv_solver::monitor::NullMonitor;
 use mffv_telemetry::Span;
 
-/// Number of heap acquisitions since process start.  `realloc` and
-/// `alloc_zeroed` keep their default implementations, which route through
-/// `alloc`, so every acquisition path is counted.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap acquisitions made by this thread.  Counting per thread keeps a
+    /// measurement on one thread clean of allocations that other threads
+    /// (parallel tests, the harness) make at the same time.  `realloc` and
+    /// `alloc_zeroed` keep their default implementations, which route
+    /// through `alloc`, so every acquisition path is counted.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations made by the calling thread so far.
+fn thread_allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 struct CountingAllocator;
 
@@ -33,7 +42,9 @@ struct CountingAllocator;
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: the caller's layout contract is forwarded to `System` as-is.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        // `try_with`: a thread being torn down may still allocate after its
+        // thread-locals are gone; such allocations simply go uncounted.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
 
@@ -54,9 +65,9 @@ fn solve_counting_allocations(
 ) -> u64 {
     let span = Span::null();
     let mut monitor = NullMonitor;
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = thread_allocations();
     let stopped = ctx.solve(workload, config, &mut monitor, &span);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = thread_allocations();
     assert!(stopped.is_none(), "steady solve must run to convergence");
     after - before
 }
