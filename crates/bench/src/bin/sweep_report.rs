@@ -80,8 +80,8 @@ fn main() {
             workers.to_string(),
             format!("{:.3}", report.wall_seconds),
             format!("{:.2}", report.jobs_per_second()),
-            format!("{:.3e}", report.latency.p50),
-            format!("{:.3e}", report.latency.p95),
+            format!("{:.3e}", report.latency.p50()),
+            format!("{:.3e}", report.latency.p95()),
             format!("{speedup:.2}x"),
         ]);
     }

@@ -9,18 +9,26 @@
 //!   entry point, whose monitor is always wrapped in a null-parent
 //!   `TraceMonitor`, so this figure tracks run-to-run noise;
 //! * **full tracing** — a recording tracer (spans + per-chunk CG iteration
-//!   marks) must cost <5% on a 64³ host solve and on a 12-job engine batch.
+//!   marks) must cost <5% on a 64³ host solve and on an engine batch.
+//!
+//! The two batch variants run alternately, every rep is timed, and the JSON
+//! records median/min/max and the spread `(max − min) / median` of both
+//! next to best-of: a batch overhead figure means something only when the
+//! untraced spread sits below the 5% budget (the bench warns otherwise).
+//! The default `--jobs` makes one batch rep a few hundred milliseconds, so
+//! pool start-up is not what spreads it; on a shared 2-core VM, tenant
+//! noise still spread it 7–18%.
 //!
 //! Emits machine-readable `BENCH_telemetry.json`:
 //!
 //! ```text
 //! cargo run --release -p mffv-bench --bin telemetry_bench -- \
-//!     --nx 64 --ny 64 --nz 64 --jobs 12 --workers 4 --reps 5 \
+//!     --nx 64 --ny 64 --nz 64 --jobs 384 --workers 4 --reps 5 \
 //!     --out BENCH_telemetry.json [--check]
 //! ```
 
 use mffv::prelude::*;
-use mffv::telemetry::{Span, Tracer};
+use mffv::telemetry::{Span, Stopwatch, Tracer};
 
 struct Args {
     nx: usize,
@@ -39,7 +47,7 @@ impl Args {
             nx: 64,
             ny: 64,
             nz: 64,
-            jobs: 12,
+            jobs: 384,
             workers: 4,
             reps: 5,
             out: "BENCH_telemetry.json".to_string(),
@@ -77,6 +85,69 @@ fn overhead_pct(base: f64, variant: f64) -> f64 {
         (variant / base - 1.0) * 100.0
     } else {
         0.0
+    }
+}
+
+/// Wall seconds of each of `reps` runs of `a` and of `b`, after one untimed
+/// warmup each.  The runs alternate, and so does which of the pair goes
+/// first, so drift in the machine's load lands on both variants alike.
+fn time_alternating(reps: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (Vec<f64>, Vec<f64>) {
+    fn time(f: &mut dyn FnMut()) -> f64 {
+        let watch = Stopwatch::start();
+        f();
+        watch.elapsed_seconds()
+    }
+    a();
+    b();
+    let (mut times_a, mut times_b) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    for rep in 0..reps {
+        if rep % 2 == 0 {
+            times_a.push(time(&mut a));
+            times_b.push(time(&mut b));
+        } else {
+            times_b.push(time(&mut b));
+            times_a.push(time(&mut a));
+        }
+    }
+    (times_a, times_b)
+}
+
+/// Best-of (= min), median and max of a set of rep times, plus the spread
+/// `(max − min) / median` in percent.
+struct RepStats {
+    min: f64,
+    median: f64,
+    max: f64,
+}
+
+impl RepStats {
+    fn of(mut times: Vec<f64>) -> RepStats {
+        times.sort_by(f64::total_cmp);
+        // The upper median for an even count.
+        let median = times[times.len() / 2];
+        RepStats {
+            min: times[0],
+            median,
+            max: times[times.len() - 1],
+        }
+    }
+
+    fn spread_pct(&self) -> f64 {
+        if self.median > 0.0 {
+            (self.max - self.min) / self.median * 100.0
+        } else {
+            0.0
+        }
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"min\": {:.6e}, \"median\": {:.6e}, \"max\": {:.6e}, \"spread_pct\": {:.3}}}",
+            self.min,
+            self.median,
+            self.max,
+            self.spread_pct()
+        )
     }
 }
 
@@ -152,22 +223,33 @@ fn main() {
 
     // --- engine batch: untraced / traced ------------------------------------
     let jobs = sweep_jobs(args.jobs);
-    let batch_untraced = time_best_of(args.reps, || {
-        let report = Engine::new(args.workers).run(jobs.clone());
-        assert!(report.all_succeeded());
-    });
-    let batch_traced = time_best_of(args.reps, || {
-        let report = Engine::new(args.workers)
-            .with_tracer(Tracer::new())
-            .run(jobs.clone());
-        assert!(report.all_succeeded());
-    });
-    let batch_pct = overhead_pct(batch_untraced, batch_traced);
+    let (untraced, traced) = time_alternating(
+        args.reps,
+        || {
+            let report = Engine::new(args.workers).run(jobs.clone());
+            assert!(report.all_succeeded());
+        },
+        || {
+            let report = Engine::new(args.workers)
+                .with_tracer(Tracer::new())
+                .run(jobs.clone());
+            assert!(report.all_succeeded());
+        },
+    );
+    let (batch_untraced, batch_traced) = (RepStats::of(untraced), RepStats::of(traced));
+    let batch_pct = overhead_pct(batch_untraced.min, batch_traced.min);
+    let batch_median_pct = overhead_pct(batch_untraced.median, batch_traced.median);
     println!(
-        "  batch: untraced {:.3} ms | traced {:.3} ms ({:+.2}%)",
-        batch_untraced * 1e3,
-        batch_traced * 1e3,
-        batch_pct
+        "  batch: untraced {:.3} ms (median {:.3}, spread {:.2}%) | traced {:.3} ms \
+         (median {:.3}, spread {:.2}%) ({:+.2}% best-of, {:+.2}% median)",
+        batch_untraced.min * 1e3,
+        batch_untraced.median * 1e3,
+        batch_untraced.spread_pct(),
+        batch_traced.min * 1e3,
+        batch_traced.median * 1e3,
+        batch_traced.spread_pct(),
+        batch_pct,
+        batch_median_pct
     );
 
     let json = format!(
@@ -177,7 +259,9 @@ fn main() {
          \"full_traced_seconds\": {:.6e}, \"null_overhead_pct\": {:.3}, \
          \"full_overhead_pct\": {:.3}, \"spans_recorded\": {}}},\n  \
          \"engine\": {{\"jobs\": {}, \"workers\": {}, \"untraced_seconds\": {:.6e}, \
-         \"traced_seconds\": {:.6e}, \"traced_overhead_pct\": {:.3}}}\n}}\n",
+         \"traced_seconds\": {:.6e}, \"traced_overhead_pct\": {:.3}, \
+         \"traced_overhead_median_pct\": {:.3},\n    \"untraced_reps\": {},\n    \
+         \"traced_reps\": {}}}\n}}\n",
         args.nx,
         args.ny,
         args.nz,
@@ -191,13 +275,23 @@ fn main() {
         trace_spans,
         args.jobs,
         args.workers,
-        batch_untraced,
-        batch_traced,
+        batch_untraced.min,
+        batch_traced.min,
         batch_pct,
+        batch_median_pct,
+        batch_untraced.json(),
+        batch_traced.json(),
     );
     std::fs::write(&args.out, &json).expect("write JSON report");
     println!("wrote {}", args.out);
 
+    if batch_untraced.spread_pct() > 5.0 {
+        println!(
+            "WARN: untraced batch spread {:.2}% exceeds the 5% budget; the batch overhead \
+             figure is within noise (raise --jobs or --reps)",
+            batch_untraced.spread_pct()
+        );
+    }
     if solve_null_pct > 1.0 {
         println!("WARN: null-span solve overhead {solve_null_pct:.2}% exceeds the 1% budget");
     }

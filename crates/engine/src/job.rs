@@ -273,11 +273,13 @@ pub enum JobStatus {
     Panicked(String),
 }
 
-/// The result of one job, in submission order within a
-/// [`BatchReport`](crate::BatchReport).
+/// The result of one job: the payload of a
+/// [`ServiceJob`](crate::ServiceJob)'s completion callback, and a row of a
+/// [`BatchReport`](crate::BatchReport) (in submission order).
 #[derive(Clone, Debug)]
 pub struct JobOutcome {
-    /// Index of the job in the submitted batch.
+    /// The ticket the service returned when the job was submitted; in a
+    /// batch, the job's submission index.
     pub index: usize,
     /// Human-readable job label (`workload @ backend`).
     pub label: String,
@@ -294,12 +296,6 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
-    /// Execution wall-clock seconds — the historical `latency_seconds` field,
-    /// kept as an accessor so report consumers see unchanged semantics.
-    pub fn latency_seconds(&self) -> f64 {
-        self.exec_seconds
-    }
-
     /// The solve report, when the job ran to completion.
     pub fn report(&self) -> Option<&SolveReport> {
         match &self.status {

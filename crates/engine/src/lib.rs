@@ -2,20 +2,21 @@
 //! # mffv-engine — concurrent batch-solve engine
 //!
 //! The execution subsystem that turns the one-solve-at-a-time `Simulation`
-//! facade into a multi-scenario solve service: a `std::thread` worker pool
+//! facade into a multi-scenario solve service: one `std::thread` worker pool
 //! (no external dependencies) that executes many independent pressure solves
-//! concurrently and reports service-style throughput.
+//! concurrently.  A daemon keeps it alive ([`Engine::start`]); a batch
+//! ([`Engine::run`]) starts it, submits, drains and reports throughput.
 //!
 //! ## Queue / worker / report design
 //!
 //! ```text
-//!  JobSpec, JobSpec, …            (index, JobSpec)
-//!  ───────────────────▶ BoundedQueue ──▶ worker 0 ──▶ slots[index]
-//!   submitting thread        │     └───▶ worker 1 ──▶ slots[index]
-//!   (blocks when full)       └─────────▶ worker N ──▶ slots[index]
-//!                                                         │
-//!                                 BatchReport  ◀──────────┘
-//!                    (outcomes in submission order + throughput/latency)
+//!  ServiceJob (JobSpec + on_done)        ticket t
+//!  ───────────────────▶ BoundedQueue ──▶ worker 0 ──▶ on_done(JobOutcome)
+//!   submitting thread        │     └───▶ worker 1 ──▶ on_done(JobOutcome)
+//!   (blocks when full,       └─────────▶ worker N ──▶ on_done(JobOutcome)
+//!    or typed Busy)                                        │
+//!             Engine::run: outcomes sorted by ticket  ◀────┘
+//!             ──▶ BatchReport (submission order + throughput + latency)
 //! ```
 //!
 //! * **Jobs are values.**  A [`JobSpec`] carries a `WorkloadSpec`, a
@@ -30,11 +31,11 @@
 //!   [`JobStatus::Panicked`] / [`JobStatus::Failed`] outcome and the pool
 //!   keeps draining.  Invalid specs are rejected at job intake with a
 //!   descriptive `SolveError` (see `WorkloadSpec::validate`).
-//! * **Deterministic results.**  Outcomes land in slots addressed by
-//!   submission index, so [`BatchReport::outcomes`] is ordered identically
-//!   for 1 or 64 workers — and because every solve is sequential and
-//!   self-contained, per-job results are **bitwise identical** across worker
-//!   counts and to a serial run of the same spec.
+//! * **Deterministic results.**  A batch's tickets are its submission
+//!   indices, so [`BatchReport::outcomes`] is ordered identically for 1 or
+//!   64 workers — and because every solve is sequential and self-contained,
+//!   per-job results are **bitwise identical** across worker counts and to a
+//!   serial run of the same spec.
 //! * **Seed reproducibility.**  [`JobSpec::seed`] reseeds stochastic
 //!   permeability models through `WorkloadSpec::with_permeability_seed`;
 //!   `(spec, backend, config, seed)` fully determines a job's result, so any
@@ -61,11 +62,13 @@
 //!
 //! ## Telemetry
 //!
-//! Every run collects per-worker busy/idle stats, a mergeable log₂-bucket
-//! execution-latency histogram and the queue's high-water depth into the
-//! [`BatchReport`].  Attach a recording `Tracer`
-//! ([`Engine::with_tracer`](pool::Engine::with_tracer)) to additionally get
-//! a span tree — `engine-batch` → per-job label → `queue-wait`/`execute` —
+//! Every batch reports per-worker busy/idle stats, one log₂-bucket
+//! execution-latency histogram (`BatchReport::latency`) and the queue's
+//! high-water depth.  Attach a [`MetricsRegistry`]
+//! ([`Engine::with_metrics`](pool::Engine::with_metrics)) for the workers'
+//! live `engine.service.*` and `engine.context.*` metrics, and a recording
+//! `Tracer` ([`Engine::with_tracer`](pool::Engine::with_tracer)) for a span
+//! tree — `engine-batch` → per-job label → `queue-wait`/`execute` —
 //! exportable as a Chrome trace via `mffv_telemetry`; job results stay
 //! bitwise identical with tracing on or off.
 
@@ -81,9 +84,7 @@ pub use backend::Backend;
 pub use job::{JobOutcome, JobSpec, JobStatus};
 pub use pool::Engine;
 pub use report::{BatchReport, WorkerStats};
-pub use service::{
-    EngineService, RejectedJob, ServiceJob, ServiceOutcome, ShutdownMode, SubmitError,
-};
+pub use service::{EngineService, RejectedJob, ServiceJob, ShutdownMode, SubmitError};
 pub use sweep::SweepBuilder;
 // The session-control vocabulary of `mffv-solver`, re-exported so engine
 // users can cancel batches and attach stop policies without a direct
@@ -98,9 +99,7 @@ pub mod prelude {
     pub use crate::job::{JobOutcome, JobSpec, JobStatus};
     pub use crate::pool::Engine;
     pub use crate::report::{BatchReport, WorkerStats};
-    pub use crate::service::{
-        EngineService, RejectedJob, ServiceJob, ServiceOutcome, ShutdownMode, SubmitError,
-    };
+    pub use crate::service::{EngineService, RejectedJob, ServiceJob, ShutdownMode, SubmitError};
     pub use crate::sweep::SweepBuilder;
     pub use mffv_solver::monitor::{CancelToken, StopPolicy, StopReason};
     pub use mffv_telemetry::{LogHistogram, MetricsRegistry, Tracer};

@@ -1,52 +1,36 @@
-//! The worker-pool batch executor.
+//! The engine handle and its one-shot batch entry point.
 //!
-//! [`Engine::run`] pushes queued jobs through a [`BoundedQueue`] to a pool
-//! of scoped `std::thread` workers.  Each worker pops jobs, executes them
-//! behind [`std::panic::catch_unwind`], and writes the outcome into a result
-//! slot addressed by the job's submission index — so the returned
-//! [`BatchReport`] lists outcomes in submission order no matter how many
-//! workers ran or how execution interleaved, and a panicking job costs
-//! exactly one result slot, never the pool.
+//! [`Engine`] is a builder for the worker pool in [`crate::service`]:
+//! worker count, queue bound, cancel token, tracer, metrics registry and
+//! context pooling.  [`Engine::start`] keeps the pool alive as a service;
+//! [`Engine::run`] is that service's batch client — it starts a pool of
+//! `min(workers, jobs)` workers, submits every job with back-pressure,
+//! drains, and orders the delivered outcomes by ticket (= submission index)
+//! into a [`BatchReport`].  So a batch runs on exactly the workers a daemon
+//! runs on, with the same panic isolation, context cache and metric names.
 //!
 //! With a recording [`Tracer`] attached ([`Engine::with_tracer`]) the batch
 //! emits a span tree — `engine-batch` → one span per job label →
 //! `queue-wait` (opened at submission, closed at pop) and `execute` on the
 //! executing worker's lane — whose aggregated *shape* is identical for any
-//! worker count.  Per-worker busy/idle stats and a merged execution-latency
-//! histogram land in the report either way, and optionally in an attached
-//! [`MetricsRegistry`] ([`Engine::with_metrics`]).
+//! worker count.
 
-use crate::job::{JobOutcome, JobSpec, JobStatus};
-use crate::queue::BoundedQueue;
-use crate::report::{BatchReport, WorkerStats};
-use mffv_solver::monitor::{CancelToken, StopReason};
-use mffv_telemetry::{LogHistogram, MetricsRegistry, Span, Stopwatch, Tracer};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, PoisonError};
-
-/// One queued unit of work: the job plus its telemetry context.  The
-/// `queue-wait` span is opened on the submitting thread and closed on the
-/// worker that pops the job — span parentage travels in the value.
-struct QueuedJob {
-    index: usize,
-    job: JobSpec,
-    /// Started at submission; read at pop for `queue_wait_seconds`.
-    queued: Stopwatch,
-    /// Per-job root span (child of `engine-batch`, named by the job label).
-    root: Span,
-    /// Open `queue-wait` child, finished the moment a worker dequeues.
-    wait: Span,
-}
+use crate::job::{JobOutcome, JobSpec};
+use crate::report::BatchReport;
+use crate::service::{ServiceJob, ShutdownMode};
+use mffv_solver::monitor::CancelToken;
+use mffv_telemetry::{MetricsRegistry, Stopwatch, Tracer};
+use std::sync::mpsc;
 
 /// The concurrent batch-solve engine.
 #[derive(Clone, Debug)]
 pub struct Engine {
-    workers: usize,
-    queue_capacity: usize,
-    cancel: Option<CancelToken>,
-    tracer: Tracer,
-    metrics: Option<MetricsRegistry>,
-    pooling: bool,
+    pub(crate) workers: usize,
+    pub(crate) queue_capacity: usize,
+    pub(crate) cancel: Option<CancelToken>,
+    pub(crate) tracer: Tracer,
+    pub(crate) metrics: Option<MetricsRegistry>,
+    pub(crate) pooling: bool,
 }
 
 impl Engine {
@@ -81,10 +65,11 @@ impl Engine {
 
     /// Watch `token` for batch-level cancellation.  When the token trips,
     /// in-flight solves stop at their next iteration boundary and every job
-    /// still queued is drained as [`JobStatus::Stopped`] with
-    /// [`StopReason::Cancelled`] — the pool never blocks on a cancelled
-    /// batch, and [`Engine::run`] still returns a complete, submission-
-    /// ordered [`BatchReport`].
+    /// still queued is drained as
+    /// [`JobStatus::Stopped`](crate::JobStatus::Stopped) with
+    /// [`StopReason::Cancelled`](crate::StopReason::Cancelled) — the pool
+    /// never blocks on a cancelled batch, and [`Engine::run`] still returns
+    /// a complete, submission-ordered [`BatchReport`].
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
@@ -98,8 +83,9 @@ impl Engine {
         self
     }
 
-    /// Publish batch rollups (job counts by status, queue high-water, the
-    /// merged execution-latency histogram) into `registry` after each run.
+    /// Publish the workers' metrics (job counts by status, queue high-water,
+    /// the execution-latency histogram, context-cache deltas) into
+    /// `registry` as each job completes.
     pub fn with_metrics(mut self, registry: MetricsRegistry) -> Self {
         self.metrics = Some(registry);
         self
@@ -128,24 +114,6 @@ impl Engine {
         self.workers
     }
 
-    /// The tracer attached with [`with_tracer`](Self::with_tracer) (disabled
-    /// by default).
-    pub(crate) fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// The metrics registry attached with
-    /// [`with_metrics`](Self::with_metrics), if any.
-    pub(crate) fn metrics(&self) -> Option<&MetricsRegistry> {
-        self.metrics.as_ref()
-    }
-
-    /// The batch-level cancel token attached with
-    /// [`with_cancel_token`](Self::with_cancel_token), if any.
-    pub(crate) fn cancel(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
     /// Bound of the job queue.
     pub fn queue_capacity(&self) -> usize {
         self.queue_capacity
@@ -157,209 +125,37 @@ impl Engine {
     /// * **deterministic ordering** — `report.outcomes[i]` is job `i`, for
     ///   any worker count;
     /// * **failure isolation** — a job that returns an error or panics is
-    ///   reported as [`JobStatus::Failed`] / [`JobStatus::Panicked`] without
+    ///   reported as [`JobStatus::Failed`](crate::JobStatus::Failed) /
+    ///   [`JobStatus::Panicked`](crate::JobStatus::Panicked) without
     ///   affecting other jobs or the pool;
     /// * **determinism of results** — each job materialises its own workload
     ///   from its spec and seed, so its report is bitwise identical to a
     ///   serial run of the same spec.
     pub fn run(&self, jobs: Vec<JobSpec>) -> BatchReport {
         let started = Stopwatch::start();
-        let total = jobs.len();
-        let batch_span = self.tracer.span("engine-batch");
-        let queue: BoundedQueue<QueuedJob> = BoundedQueue::new(self.queue_capacity);
-        let slots: Mutex<Vec<Option<JobOutcome>>> = Mutex::new((0..total).map(|_| None).collect());
-        // An empty batch spawns no workers: there is nothing to pop, and a
-        // phantom worker would report a `WorkerStats` row for work that never
-        // existed.
-        let spawned = if total == 0 {
-            0
-        } else {
-            self.workers.min(total)
-        };
-        // Each worker folds its stats locally (no per-job contention) and
-        // pushes one `(stats, histogram)` pair at shutdown.
-        let worker_stats: Mutex<Vec<(WorkerStats, LogHistogram)>> =
-            Mutex::new(Vec::with_capacity(spawned));
-
-        std::thread::scope(|scope| {
-            for worker in 0..spawned {
-                let queue = &queue;
-                let slots = &slots;
-                let worker_stats = &worker_stats;
-                scope.spawn(move || {
-                    let mut local = WorkerStats {
-                        worker,
-                        jobs: 0,
-                        busy_seconds: 0.0,
-                    };
-                    let mut exec_hist = LogHistogram::new();
-                    // One warm solve context per worker, reused across jobs
-                    // (results stay bitwise identical with or without it).
-                    let mut context_cache = self
-                        .pooling
-                        .then(mffv_solver::context::SolveContextCache::default);
-                    while let Some(item) = queue.pop() {
-                        let queue_wait = item.queued.elapsed_seconds();
-                        item.wait.finish();
-                        // A tripped batch token drains the queue instead of
-                        // blocking the pool: jobs that never started report
-                        // `Stopped(Cancelled)` with no partial state (and no
-                        // execution latency — only their real queue wait).
-                        let outcome = if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
-                        {
-                            JobOutcome {
-                                index: item.index,
-                                label: item.job.label(),
-                                status: JobStatus::Stopped {
-                                    reason: StopReason::Cancelled,
-                                    report: None,
-                                },
-                                queue_wait_seconds: queue_wait,
-                                exec_seconds: 0.0,
-                            }
-                        } else {
-                            let exec_span = item.root.child_on_lane("execute", worker as u32 + 1);
-                            let outcome = execute_job(
-                                item.index,
-                                &item.job,
-                                self.cancel.as_ref(),
-                                &exec_span,
-                                queue_wait,
-                                context_cache.as_mut(),
-                            );
-                            exec_span.finish();
-                            local.busy_seconds += outcome.exec_seconds;
-                            exec_hist.record(outcome.exec_seconds);
-                            outcome
-                        };
-                        local.jobs += 1;
-                        let index = outcome.index;
-                        let mut slots = slots.lock().unwrap_or_else(PoisonError::into_inner);
-                        slots[index] = Some(outcome);
-                    }
-                    if let (Some(metrics), Some(cache)) = (&self.metrics, &context_cache) {
-                        let stats = cache.stats();
-                        metrics.add("engine.context.hits", stats.hits);
-                        metrics.add("engine.context.misses", stats.misses);
-                        metrics.add("engine.context.scratch_reallocs", stats.scratch_reallocs);
-                    }
-                    let mut stats = worker_stats.lock().unwrap_or_else(PoisonError::into_inner);
-                    stats.push((local, exec_hist));
-                });
-            }
-            for (index, job) in jobs.into_iter().enumerate() {
-                let root = batch_span.child(&job.label());
-                let wait = root.child("queue-wait");
-                queue.push(QueuedJob {
-                    index,
-                    job,
-                    queued: Stopwatch::start(),
-                    root,
-                    wait,
-                });
-            }
-            queue.close();
-        });
-
-        let queue_high_water = queue.high_water();
-        let outcomes: Vec<JobOutcome> = slots
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .into_iter()
-            // audit: allow(panic) — invariant: queue.close() plus the scope
-            // join guarantee every submitted index was popped and its slot
-            // written before we get here (panicking jobs are caught earlier).
-            .map(|slot| slot.expect("every queued job writes its result slot"))
-            .collect();
-        let mut per_worker = worker_stats
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        per_worker.sort_by_key(|(stats, _)| stats.worker);
-        let mut exec_histogram = LogHistogram::new();
-        for (_, hist) in &per_worker {
-            exec_histogram.merge(hist);
+        // An empty batch spawns no workers: a phantom worker would report a
+        // `WorkerStats` row for work that never existed.
+        let workers = self.workers.min(jobs.len());
+        let service = self.spawn_service(workers, Some(self.tracer.span("engine-batch")));
+        let (done, delivered) = mpsc::channel::<JobOutcome>();
+        for job in jobs {
+            let done = done.clone();
+            let submitted = service.submit_blocking(ServiceJob::new(job, move |outcome| {
+                done.send(outcome).ok();
+            }));
+            // audit: allow(panic) — invariant: only `shutdown` below closes
+            // this service's queue, so a blocking submit cannot be refused.
+            assert!(submitted.is_ok(), "a fresh service accepts every job");
         }
-        batch_span.finish();
-        let report = BatchReport::new(outcomes, spawned, started.elapsed_seconds())
-            .with_engine_stats(
-                per_worker.into_iter().map(|(stats, _)| stats).collect(),
-                exec_histogram,
-                queue_high_water,
-            );
-        if let Some(metrics) = &self.metrics {
-            metrics.add("engine.jobs.submitted", report.jobs() as u64);
-            metrics.add("engine.jobs.ok", report.succeeded() as u64);
-            metrics.add("engine.jobs.stopped", report.stopped() as u64);
-            metrics.add("engine.jobs.failed", report.failed() as u64);
-            metrics.max_gauge("engine.queue.high_water", report.queue_high_water as f64);
-            metrics.merge_histogram("engine.exec_seconds", &report.exec_histogram);
-        }
-        report
-    }
-}
-
-/// Run one job behind panic isolation, timing its execution.  An
-/// early-stopped solve (job policy or batch cancellation) becomes
-/// [`JobStatus::Stopped`] carrying the partial report.
-fn execute_job(
-    index: usize,
-    job: &JobSpec,
-    engine_token: Option<&CancelToken>,
-    span: &Span,
-    queue_wait_seconds: f64,
-    context_cache: Option<&mut mffv_solver::context::SolveContextCache>,
-) -> JobOutcome {
-    let label = job.label();
-    let started = Stopwatch::start();
-    let status = status_from_result(catch_unwind(AssertUnwindSafe(|| {
-        job.execute_with(engine_token, span, None, context_cache)
-    })));
-    JobOutcome {
-        index,
-        label,
-        status,
-        queue_wait_seconds,
-        exec_seconds: started.elapsed_seconds(),
-    }
-}
-
-/// Map a panic-isolated execution result onto a [`JobStatus`]: early stops
-/// (policy, deadline, cancellation) are `Stopped`, typed backend errors are
-/// `Failed`, and a caught panic becomes `Panicked` with its message.  Shared
-/// by the batch workers above and the persistent service workers
-/// ([`crate::service`]).
-pub(crate) fn status_from_result(
-    result: std::thread::Result<
-        Result<mffv_solver::backend::SolveReport, mffv_solver::backend::SolveError>,
-    >,
-) -> JobStatus {
-    match result {
-        Ok(Ok(report)) => match report.stopped {
-            Some(reason) => JobStatus::Stopped {
-                reason,
-                report: Some(report),
-            },
-            None => JobStatus::Completed(report),
-        },
-        Ok(Err(error)) => match error.stop_reason() {
-            Some(reason) => JobStatus::Stopped {
-                reason,
-                report: None,
-            },
-            None => JobStatus::Failed(error),
-        },
-        Err(payload) => JobStatus::Panicked(panic_message(payload.as_ref())),
-    }
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+        drop(done);
+        let queue_high_water = service.queue_high_water();
+        let worker_stats = service.shutdown(ShutdownMode::Drain);
+        // Every worker has been joined, so every callback has fired; on a
+        // fresh service ticket `i` is submission index `i`.
+        let mut outcomes: Vec<JobOutcome> = delivered.into_iter().collect();
+        outcomes.sort_by_key(|outcome| outcome.index);
+        BatchReport::new(outcomes, workers, started.elapsed_seconds())
+            .with_engine_stats(worker_stats, queue_high_water)
     }
 }
 
@@ -419,11 +215,10 @@ mod tests {
         let report = Engine::new(4).run(Vec::new());
         assert_eq!(report.jobs(), 0);
         assert!(report.all_succeeded());
-        assert_eq!(report.latency.samples, 0);
+        assert_eq!(report.latency.count(), 0);
         // No phantom workers: nothing ran, so no WorkerStats rows either.
         assert_eq!(report.workers, 0);
         assert!(report.worker_stats.is_empty());
-        assert_eq!(report.exec_histogram.count(), 0);
     }
 
     #[test]
@@ -471,7 +266,7 @@ mod tests {
         assert_eq!(report.worker_stats.len(), 3);
         let jobs: usize = report.worker_stats.iter().map(|w| w.jobs).sum();
         assert_eq!(jobs, 5);
-        assert_eq!(report.exec_histogram.count(), 5);
+        assert_eq!(report.latency.count(), 5);
         assert!(report.queue_high_water >= 1);
         assert!(report.queue_high_water <= Engine::new(3).queue_capacity());
         for (i, w) in report.worker_stats.iter().enumerate() {
@@ -502,12 +297,15 @@ mod tests {
             .with_metrics(registry.clone())
             .run(tiny_jobs(3));
         assert!(report.all_succeeded());
-        assert_eq!(registry.counter("engine.jobs.submitted"), 3);
-        assert_eq!(registry.counter("engine.jobs.ok"), 3);
-        assert_eq!(registry.counter("engine.jobs.failed"), 0);
-        assert!(registry.gauge("engine.queue.high_water").unwrap() >= 1.0);
+        assert_eq!(registry.counter("engine.service.jobs.submitted"), 3);
+        assert_eq!(registry.counter("engine.service.jobs.ok"), 3);
+        assert_eq!(registry.counter("engine.service.jobs.failed"), 0);
+        assert!(registry.gauge("engine.service.queue.high_water").unwrap() >= 1.0);
         assert_eq!(
-            registry.histogram("engine.exec_seconds").unwrap().count(),
+            registry
+                .histogram("engine.service.exec_seconds")
+                .unwrap()
+                .count(),
             3
         );
     }

@@ -65,16 +65,10 @@ impl<T> BoundedQueue<T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Enqueue `item`, blocking while the queue is full.  Returns `false`
-    /// (dropping the item) if the queue was closed in the meantime.
-    pub fn push(&self, item: T) -> bool {
-        self.push_returning(item).is_ok()
-    }
-
-    /// [`push`](Self::push) that hands the item back instead of dropping it
-    /// when the queue has been closed — service submitters need the rejected
-    /// job's callbacks to reply to their client.
-    pub fn push_returning(&self, item: T) -> Result<(), T> {
+    /// Enqueue `item`, blocking while the queue is full.  Hands the item
+    /// back if the queue was closed in the meantime — service submitters
+    /// need the rejected job's callbacks to reply to their client.
+    pub fn push(&self, item: T) -> Result<(), T> {
         let mut state = self.lock();
         while state.items.len() >= self.capacity && !state.closed {
             state = self
@@ -162,9 +156,9 @@ mod tests {
     fn fifo_order_within_capacity() {
         let q = BoundedQueue::new(4);
         assert_eq!(q.high_water(), 0);
-        assert!(q.push(1));
-        assert!(q.push(2));
-        assert!(q.push(3));
+        assert!(q.push(1).is_ok());
+        assert!(q.push(2).is_ok());
+        assert!(q.push(3).is_ok());
         q.close();
         assert_eq!(q.high_water(), 3);
         assert_eq!(q.pop(), Some(1));
@@ -178,7 +172,7 @@ mod tests {
     fn push_after_close_is_rejected() {
         let q = BoundedQueue::new(2);
         q.close();
-        assert!(!q.push(42));
+        assert_eq!(q.push(42), Err(42));
         assert_eq!(q.pop(), None);
     }
 
@@ -198,7 +192,7 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 for i in 0..total {
-                    assert!(q.push(i));
+                    assert!(q.push(i).is_ok());
                     produced.fetch_add(1, Ordering::SeqCst);
                 }
                 q.close();

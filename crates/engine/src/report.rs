@@ -2,18 +2,17 @@
 //!
 //! A [`BatchReport`] keeps every per-job [`JobOutcome`] (in submission order)
 //! and summarises the run as a service would: wall-clock time, throughput in
-//! jobs/s and cells/s, and latency percentiles over the per-job solve times
-//! (via [`mffv_perf::LatencyStats`]).  When the batch ran through
-//! [`Engine::run`](crate::Engine::run) the report also carries the engine's
-//! own telemetry: per-worker busy/idle accounting ([`WorkerStats`]), a
-//! mergeable log₂-bucket execution-latency histogram, and the queue's
-//! high-water depth.  Its `Display` impl prints the per-job status table
-//! followed by the aggregate lines — the output the sweep report binary and
-//! the CI smoke step show.
+//! jobs/s and cells/s, and one latency summary — a [`LogHistogram`] over the
+//! per-job execution times, the same histogram type the engine's metrics
+//! registry exports.  When the batch ran through
+//! [`Engine::run`](crate::Engine::run) the report also carries the workers'
+//! busy/idle accounting ([`WorkerStats`]) and the queue's high-water depth.
+//! Its `Display` impl prints the per-job status table followed by the
+//! aggregate lines — the output the sweep report binary and the CI smoke
+//! step show.
 
 use crate::job::JobOutcome;
 use mffv_perf::report::format_table;
-use mffv_perf::LatencyStats;
 use mffv_solver::backend::SolveReport;
 use mffv_telemetry::LogHistogram;
 
@@ -55,15 +54,12 @@ pub struct BatchReport {
     /// Wall-clock seconds from submission of the first job to completion of
     /// the last.
     pub wall_seconds: f64,
-    /// Latency percentiles over the per-job execution wall times.
-    pub latency: LatencyStats,
+    /// Log₂-bucket histogram of the per-job execution wall times of the
+    /// jobs that ran (percentiles via [`LogHistogram::p50`] and friends).
+    pub latency: LogHistogram,
     /// Per-worker busy/idle accounting, by worker index.  Empty for reports
     /// assembled outside [`Engine::run`](crate::Engine::run).
     pub worker_stats: Vec<WorkerStats>,
-    /// Log₂-bucket histogram of per-job execution latencies, merged from the
-    /// workers' thread-local histograms.  Empty when the engine did not
-    /// collect one.
-    pub exec_histogram: LogHistogram,
     /// Largest queue depth the bounded job queue reached (back-pressure
     /// indicator; at most the engine's queue capacity).
     pub queue_high_water: usize,
@@ -72,37 +68,35 @@ pub struct BatchReport {
 impl BatchReport {
     /// Aggregate `outcomes` (already in submission order).
     ///
-    /// Latency percentiles cover only jobs that actually ran on a worker:
+    /// The latency histogram covers only jobs that actually ran on a worker:
     /// queued jobs drained by a cancellation (stopped with no partial
     /// report) never experienced an execution latency and would skew the
     /// percentiles toward zero.
     pub fn new(outcomes: Vec<JobOutcome>, workers: usize, wall_seconds: f64) -> Self {
-        let latencies: Vec<f64> = outcomes
-            .iter()
-            .filter(|o| !(o.is_stopped() && o.partial_report().is_none()))
-            .map(|o| o.exec_seconds)
-            .collect();
+        let mut latency = LogHistogram::new();
+        for outcome in &outcomes {
+            if !(outcome.is_stopped() && outcome.partial_report().is_none()) {
+                latency.record(outcome.exec_seconds);
+            }
+        }
         Self {
             outcomes,
             workers,
             wall_seconds,
-            latency: LatencyStats::from_samples(&latencies),
+            latency,
             worker_stats: Vec::new(),
-            exec_histogram: LogHistogram::new(),
             queue_high_water: 0,
         }
     }
 
-    /// Attach the engine's own telemetry: per-worker busy/idle stats, the
-    /// merged execution-latency histogram, and the queue high-water mark.
+    /// Attach the engine's own telemetry: per-worker busy/idle stats and the
+    /// queue high-water mark.
     pub fn with_engine_stats(
         mut self,
         worker_stats: Vec<WorkerStats>,
-        exec_histogram: LogHistogram,
         queue_high_water: usize,
     ) -> Self {
         self.worker_stats = worker_stats;
-        self.exec_histogram = exec_histogram;
         self.queue_high_water = queue_high_water;
         self
     }
@@ -241,11 +235,11 @@ impl std::fmt::Display for BatchReport {
         write!(
             f,
             "latency: p50 {:.3e} s, p95 {:.3e} s, p99 {:.3e} s, mean {:.3e} s, max {:.3e} s",
-            self.latency.p50,
-            self.latency.p95,
-            self.latency.p99,
-            self.latency.mean,
-            self.latency.max
+            self.latency.p50(),
+            self.latency.p95(),
+            self.latency.p99(),
+            self.latency.mean(),
+            self.latency.max_seconds()
         )?;
         if self.queue_high_water > 0 || !self.worker_stats.is_empty() {
             write!(
@@ -304,7 +298,7 @@ mod tests {
         assert_eq!(report.succeeded(), 0);
         assert_eq!(report.failed(), 2);
         assert!(!report.all_succeeded());
-        assert_eq!(report.latency.samples, 2);
+        assert_eq!(report.latency.count(), 2);
         assert!((report.jobs_per_second() - 4.0).abs() < 1e-12);
         assert!((report.busy_seconds() - 0.3).abs() < 1e-12);
         assert!((report.queue_wait_seconds() - 0.15).abs() < 1e-12);
@@ -340,7 +334,7 @@ mod tests {
         assert!(!report.all_succeeded());
         // The drained job never ran: its synthetic 0.0 latency must not
         // enter the percentile samples.
-        assert_eq!(report.latency.samples, 1);
+        assert_eq!(report.latency.count(), 1);
         let text = report.to_string();
         assert!(text.contains("stopped: cancelled"), "{text}");
         assert!(text.contains("1 stopped"), "{text}");
@@ -370,8 +364,6 @@ mod tests {
 
     #[test]
     fn engine_stats_attach_and_render() {
-        let mut hist = LogHistogram::new();
-        hist.record(0.25);
         let report = BatchReport::new(
             vec![outcome(
                 0,
@@ -394,11 +386,10 @@ mod tests {
                     busy_seconds: 0.0,
                 },
             ],
-            hist,
             3,
         );
         assert_eq!(report.queue_high_water, 3);
-        assert_eq!(report.exec_histogram.count(), 1);
+        assert_eq!(report.latency.count(), 1);
         assert!((report.worker_stats[0].idle_seconds(1.0) - 0.75).abs() < 1e-12);
         assert!((report.worker_stats[0].utilisation(1.0) - 0.25).abs() < 1e-12);
         let text = report.to_string();

@@ -1,5 +1,4 @@
-//! Persistent service mode: the long-running counterpart of the one-shot
-//! [`Engine::run`] batch.
+//! The engine's one worker pool.
 //!
 //! [`Engine::start`] spawns the worker pool once and keeps it alive behind an
 //! [`EngineService`] handle; jobs arrive one at a time through
@@ -9,7 +8,16 @@
 //! queue's back-pressure).  Each submitted job carries its own completion
 //! callback and, optionally, a live [`SolveEvent`] observer — the hook a
 //! solve daemon uses to stream convergence over a socket while the solve
-//! runs.
+//! runs.  [`Engine::run`] is a client of the same pool: it starts a service,
+//! submits a batch and drains it, so batch and daemon jobs share one worker
+//! loop, one panic-isolation path and one set of metric names.
+//!
+//! Each worker pops a job, closes its `queue-wait` span, executes it behind
+//! [`std::panic::catch_unwind`] under an `execute` span on the worker's
+//! lane, and hands the [`JobOutcome`] (whose `index` is the job's ticket) to
+//! the job's callback.  A panicking job or callback costs one outcome, never
+//! the worker.  Each worker keeps a warm solve context across jobs and counts
+//! its own [`WorkerStats`], returned when it is joined.
 //!
 //! Shutdown is explicit and two-flavoured ([`EngineService::shutdown`]):
 //!
@@ -21,10 +29,20 @@
 //!   boundary and still-queued jobs complete as
 //!   [`JobStatus::Stopped`]/[`StopReason::Cancelled`] (their callbacks still
 //!   fire — nothing is silently lost).
+//!
+//! Dropping the handle without `shutdown` closes the queue too: the workers
+//! drain what is queued, fire its callbacks and exit, unjoined.
+//!
+//! Metrics, when a registry is attached ([`Engine::with_metrics`]):
+//! `engine.service.jobs.{submitted,ok,stopped,failed,panicked}`,
+//! `engine.service.exec_seconds`, `engine.service.queue.high_water` and the
+//! per-job `engine.context.{hits,misses,scratch_reallocs}` deltas.
 
-use crate::job::{JobSpec, JobStatus};
-use crate::pool::{status_from_result, Engine};
+use crate::job::{JobOutcome, JobSpec, JobStatus};
+use crate::pool::Engine;
 use crate::queue::{BoundedQueue, TryPushError};
+use crate::report::WorkerStats;
+use mffv_solver::backend::{SolveError, SolveReport};
 use mffv_solver::monitor::{monitor_fn, CancelToken, Flow, SolveEvent, StopReason};
 use mffv_telemetry::{MetricsRegistry, Span, Stopwatch, Tracer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -76,37 +94,6 @@ pub struct RejectedJob {
     pub job: ServiceJob,
 }
 
-/// How one service job ended — the payload of its completion callback.
-#[derive(Debug)]
-pub struct ServiceOutcome {
-    /// The ticket [`EngineService::try_submit`] returned for this job.
-    pub ticket: u64,
-    /// Human-readable job label (`workload @ backend`).
-    pub label: String,
-    /// How the job ended (same vocabulary as batch outcomes).
-    pub status: JobStatus,
-    /// Wall-clock seconds spent queued before a worker picked the job up.
-    pub queue_wait_seconds: f64,
-    /// Wall-clock seconds spent executing (`0.0` for jobs cancelled while
-    /// still queued).
-    pub exec_seconds: f64,
-}
-
-impl ServiceOutcome {
-    /// Whether the job produced a completed report.
-    pub fn is_success(&self) -> bool {
-        matches!(self.status, JobStatus::Completed(_))
-    }
-
-    /// Why the job was stopped, when it was.
-    pub fn stop_reason(&self) -> Option<StopReason> {
-        match &self.status {
-            JobStatus::Stopped { reason, .. } => Some(*reason),
-            _ => None,
-        }
-    }
-}
-
 /// A live [`SolveEvent`] observer attached to a [`ServiceJob`].
 pub type EventObserver = Box<dyn FnMut(&SolveEvent) -> Flow + Send>;
 
@@ -115,20 +102,21 @@ pub type EventObserver = Box<dyn FnMut(&SolveEvent) -> Flow + Send>;
 /// `on_event` (optional) observes the live [`SolveEvent`] stream on the
 /// worker thread — bitwise the recorded convergence history — and may stop
 /// the solve by returning [`Flow::Stop`].  `on_done` always fires exactly
-/// once, on the worker, with the job's [`ServiceOutcome`]; it runs behind
-/// the same panic isolation as the job itself.
+/// once, on the worker, with the job's [`JobOutcome`] (its `index` is the
+/// ticket the submission returned); it runs behind the same panic isolation
+/// as the job itself.
 pub struct ServiceJob {
     /// The solve to run.
     pub job: JobSpec,
     /// Live event observer, called at every iteration boundary.
     pub on_event: Option<EventObserver>,
     /// Completion callback (fires exactly once per accepted job).
-    pub on_done: Box<dyn FnOnce(ServiceOutcome) + Send>,
+    pub on_done: Box<dyn FnOnce(JobOutcome) + Send>,
 }
 
 impl ServiceJob {
     /// A service job delivering its outcome to `on_done`.
-    pub fn new(job: JobSpec, on_done: impl FnOnce(ServiceOutcome) + Send + 'static) -> Self {
+    pub fn new(job: JobSpec, on_done: impl FnOnce(JobOutcome) + Send + 'static) -> Self {
         Self {
             job,
             on_event: None,
@@ -146,13 +134,17 @@ impl ServiceJob {
     }
 }
 
-/// A queued service job plus its telemetry context (mirrors the batch
-/// pool's `QueuedJob`: span parentage travels in the value).
+/// A queued service job plus its telemetry context.  The `queue-wait` span
+/// is opened on the submitting thread and closed on the worker that pops
+/// the job — span parentage travels in the value.
 struct QueuedServiceJob {
     ticket: u64,
     job: ServiceJob,
+    /// Started at submission; read at pop for `queue_wait_seconds`.
     queued: Stopwatch,
+    /// Per-job root span, named by the job label.
     root: Span,
+    /// Open `queue-wait` child, finished the moment a worker dequeues.
     wait: Span,
 }
 
@@ -162,6 +154,9 @@ struct ServiceShared {
     /// engine token, so in-flight solves stop at the next boundary.
     cancel: CancelToken,
     tracer: Tracer,
+    /// The `engine-batch` span an [`Engine::run`] parents its jobs under;
+    /// `None` for a plain [`Engine::start`], whose jobs are root spans.
+    batch: Option<Span>,
     metrics: Option<MetricsRegistry>,
     next_ticket: AtomicU64,
     /// Whether workers keep warm solve contexts across jobs (see
@@ -171,11 +166,12 @@ struct ServiceShared {
 
 /// Handle to a started engine service: submit jobs, inspect the queue, shut
 /// down.  Dropping the handle without calling
-/// [`shutdown`](EngineService::shutdown) detaches the workers (they keep
-/// draining); explicit shutdown is the orderly path.
+/// [`shutdown`](EngineService::shutdown) closes the queue, so the workers
+/// drain what is queued and exit; explicit shutdown is the orderly path,
+/// which also joins them.
 pub struct EngineService {
     shared: Arc<ServiceShared>,
-    workers: Vec<JoinHandle<()>>,
+    workers: Vec<JoinHandle<WorkerStats>>,
 }
 
 impl Engine {
@@ -183,15 +179,22 @@ impl Engine {
     /// a `queue_capacity()`-bounded queue, inheriting the engine's tracer,
     /// metrics registry and (if configured) cancel token.
     pub fn start(&self) -> EngineService {
+        self.spawn_service(self.workers, None)
+    }
+
+    /// [`start`](Self::start) with an explicit worker count, parenting every
+    /// job's spans under `batch` when given.
+    pub(crate) fn spawn_service(&self, workers: usize, batch: Option<Span>) -> EngineService {
         let shared = Arc::new(ServiceShared {
-            queue: BoundedQueue::new(self.queue_capacity()),
-            cancel: self.cancel().cloned().unwrap_or_default(),
-            tracer: self.tracer().clone(),
-            metrics: self.metrics().cloned(),
+            queue: BoundedQueue::new(self.queue_capacity),
+            cancel: self.cancel.clone().unwrap_or_default(),
+            tracer: self.tracer.clone(),
+            batch,
+            metrics: self.metrics.clone(),
             next_ticket: AtomicU64::new(0),
-            pooling: self.context_pooling(),
+            pooling: self.pooling,
         });
-        let workers = (0..self.workers())
+        let workers = (0..workers)
             .map(|worker| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(&shared, worker))
@@ -211,6 +214,12 @@ impl EngineService {
     /// The queue bound submissions are admitted against.
     pub fn queue_capacity(&self) -> usize {
         self.shared.queue.capacity()
+    }
+
+    /// Largest queue depth reached so far — final once the last submission
+    /// has returned.
+    pub(crate) fn queue_high_water(&self) -> usize {
+        self.shared.queue.high_water()
     }
 
     /// Whether shutdown has begun (new submissions are refused).
@@ -259,7 +268,7 @@ impl EngineService {
     pub fn submit_blocking(&self, job: ServiceJob) -> Result<u64, RejectedJob> {
         let queued = self.enqueueable(job);
         let ticket = queued.ticket;
-        match self.shared.queue.push_returning(queued) {
+        match self.shared.queue.push(queued) {
             Ok(()) => {
                 self.note_submitted();
                 Ok(ticket)
@@ -274,22 +283,28 @@ impl EngineService {
     /// Shut the service down.  [`ShutdownMode::Drain`] finishes everything
     /// queued; [`ShutdownMode::Abort`] cancels in-flight and queued jobs
     /// (their `on_done` callbacks still fire, as `Stopped(Cancelled)`).
-    /// Joins every worker before returning.
-    pub fn shutdown(self, mode: ShutdownMode) {
+    /// Joins every worker before returning and hands back their
+    /// [`WorkerStats`], by worker index.
+    pub fn shutdown(mut self, mode: ShutdownMode) -> Vec<WorkerStats> {
         if matches!(mode, ShutdownMode::Abort) {
             self.shared.cancel.cancel();
         }
         self.shared.queue.close();
-        for handle in self.workers {
-            // A worker that panicked outside job isolation has already lost
-            // its thread; joining the rest is still the right cleanup.
-            let _ = handle.join();
-        }
+        // A worker that panicked outside job isolation has already lost its
+        // thread (and its stats); joining the rest is still the right cleanup.
+        std::mem::take(&mut self.workers)
+            .into_iter()
+            .filter_map(|handle| handle.join().ok())
+            .collect()
     }
 
     fn enqueueable(&self, job: ServiceJob) -> QueuedServiceJob {
         let ticket = self.shared.next_ticket.fetch_add(1, Ordering::SeqCst);
-        let root = self.shared.tracer.span(&job.job.label());
+        let label = job.job.label();
+        let root = match &self.shared.batch {
+            Some(batch) => batch.child(&label),
+            None => self.shared.tracer.span(&label),
+        };
         let wait = root.child("queue-wait");
         QueuedServiceJob {
             ticket,
@@ -311,7 +326,20 @@ impl EngineService {
     }
 }
 
-fn worker_loop(shared: &ServiceShared, worker: usize) {
+impl Drop for EngineService {
+    /// Close the queue so unjoined workers drain it and exit instead of
+    /// parking on it forever.
+    fn drop(&mut self) {
+        self.shared.queue.close();
+    }
+}
+
+fn worker_loop(shared: &ServiceShared, worker: usize) -> WorkerStats {
+    let mut worker_stats = WorkerStats {
+        worker,
+        jobs: 0,
+        busy_seconds: 0.0,
+    };
     // One warm solve context per worker, kept across jobs for the lifetime
     // of the service (the steady-state serving path: after the first job of
     // a spec, repeats reuse the operator, preconditioner and CG scratch).
@@ -336,10 +364,11 @@ fn worker_loop(shared: &ServiceShared, worker: usize) {
         } = service_job;
         let label = job.label();
         let outcome = if shared.cancel.is_cancelled() {
-            // Abort drains the queue as cancelled instead of solving: queued
-            // jobs complete immediately, callbacks included.
-            ServiceOutcome {
-                ticket,
+            // A tripped token drains the queue as cancelled instead of
+            // solving: queued jobs complete immediately, callbacks included,
+            // with no partial state and no execution latency.
+            JobOutcome {
+                index: ticket as usize,
                 label,
                 status: JobStatus::Stopped {
                     reason: StopReason::Cancelled,
@@ -360,8 +389,8 @@ fn worker_loop(shared: &ServiceShared, worker: usize) {
                 None => job.execute_with(Some(&shared.cancel), &exec_span, None, cache),
             }));
             exec_span.finish();
-            ServiceOutcome {
-                ticket,
+            JobOutcome {
+                index: ticket as usize,
                 label,
                 status: status_from_result(result),
                 queue_wait_seconds,
@@ -369,6 +398,8 @@ fn worker_loop(shared: &ServiceShared, worker: usize) {
             }
         };
         root.finish();
+        worker_stats.jobs += 1;
+        worker_stats.busy_seconds += outcome.exec_seconds;
         if let Some(metrics) = &shared.metrics {
             let key = match &outcome.status {
                 JobStatus::Completed(_) => "engine.service.jobs.ok",
@@ -399,6 +430,41 @@ fn worker_loop(shared: &ServiceShared, worker: usize) {
         // callback must not take the worker down with it.
         let _ = catch_unwind(AssertUnwindSafe(move || (on_done)(outcome)));
     }
+    worker_stats
+}
+
+/// Map a panic-isolated execution result onto a [`JobStatus`]: early stops
+/// (policy, deadline, cancellation) are `Stopped`, typed backend errors are
+/// `Failed`, and a caught panic becomes `Panicked` with its message.
+fn status_from_result(result: std::thread::Result<Result<SolveReport, SolveError>>) -> JobStatus {
+    match result {
+        Ok(Ok(report)) => match report.stopped {
+            Some(reason) => JobStatus::Stopped {
+                reason,
+                report: Some(report),
+            },
+            None => JobStatus::Completed(report),
+        },
+        Ok(Err(error)) => match error.stop_reason() {
+            Some(reason) => JobStatus::Stopped {
+                reason,
+                report: None,
+            },
+            None => JobStatus::Failed(error),
+        },
+        Err(payload) => JobStatus::Panicked(panic_message(payload.as_ref())),
+    }
+}
+
+/// Best-effort extraction of a panic payload's message.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
 }
 
 #[cfg(test)]
@@ -423,7 +489,7 @@ mod tests {
             }));
             assert!(submitted.is_ok());
         }
-        let outcomes: Vec<ServiceOutcome> = (0..4).map(|_| rx.recv().unwrap()).collect();
+        let outcomes: Vec<JobOutcome> = (0..4).map(|_| rx.recv().unwrap()).collect();
         assert!(outcomes.iter().all(|o| o.is_success()));
         service.shutdown(ShutdownMode::Drain);
     }
@@ -506,9 +572,34 @@ mod tests {
                 .expect("accepted");
         }
         service.shutdown(ShutdownMode::Drain);
-        let outcomes: Vec<ServiceOutcome> = rx.try_iter().collect();
+        let outcomes: Vec<JobOutcome> = rx.try_iter().collect();
         assert_eq!(outcomes.len(), 3);
         assert!(outcomes.iter().all(|o| o.is_success()));
+    }
+
+    #[test]
+    fn dropping_the_handle_lets_the_workers_drain_and_exit() {
+        let service = Engine::new(2).start();
+        let (tx, rx) = mpsc::channel();
+        service
+            .submit_blocking(ServiceJob::new(quick_job(), move |o| {
+                tx.send(o).ok();
+            }))
+            .ok()
+            .expect("accepted");
+        let shared = Arc::downgrade(&service.shared);
+        drop(service);
+        assert!(rx.recv().unwrap().is_success(), "queued work still runs");
+        // The workers hold the only other strong references: once they
+        // exit, the shared state is freed.
+        let waited = Stopwatch::start();
+        while shared.upgrade().is_some() {
+            assert!(
+                waited.elapsed_seconds() < 10.0,
+                "workers still parked on the queue after the handle was dropped"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
     }
 
     #[test]

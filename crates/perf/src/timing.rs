@@ -16,7 +16,6 @@ use crate::opcount::CellOpCounts;
 use mffv_fabric::timing::WseSpec;
 use mffv_gpu_ref::device_model::{GpuSpec, GpuTimeModel};
 use mffv_mesh::Dims;
-use mffv_telemetry::LogHistogram;
 
 /// Best-of-`reps` wall time of `f` in seconds, after one untimed warmup —
 /// the measurement discipline shared by the kernel report binaries
@@ -33,88 +32,6 @@ pub fn time_best_of(reps: usize, mut f: impl FnMut()) -> f64 {
         best = best.min(start.elapsed().as_secs_f64());
     }
     best
-}
-
-/// Nearest-rank percentile of an **ascending-sorted** sample set; `q` in
-/// `[0, 1]`.  Empty samples yield `0.0`.
-pub fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
-}
-
-/// Summary statistics over a set of measured latencies (seconds) — the
-/// aggregate the batch engine's `BatchReport` prints alongside throughput.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LatencyStats {
-    /// Number of samples summarised.
-    pub samples: usize,
-    /// Smallest sample, s.
-    pub min: f64,
-    /// Largest sample, s.
-    pub max: f64,
-    /// Arithmetic mean, s.
-    pub mean: f64,
-    /// Median (nearest-rank 50th percentile), s.
-    pub p50: f64,
-    /// Nearest-rank 95th percentile, s.
-    pub p95: f64,
-    /// Nearest-rank 99th percentile, s.
-    pub p99: f64,
-    /// Nearest-rank 99.9th percentile, s.
-    pub p999: f64,
-}
-
-impl LatencyStats {
-    /// Summarise `samples` (any order; an empty set yields all-zero stats).
-    pub fn from_samples(samples: &[f64]) -> Self {
-        if samples.is_empty() {
-            return Self {
-                samples: 0,
-                min: 0.0,
-                max: 0.0,
-                mean: 0.0,
-                p50: 0.0,
-                p95: 0.0,
-                p99: 0.0,
-                p999: 0.0,
-            };
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        Self {
-            samples: sorted.len(),
-            min: sorted[0],
-            max: sorted[sorted.len() - 1],
-            mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
-            p50: percentile(&sorted, 0.50),
-            p95: percentile(&sorted, 0.95),
-            p99: percentile(&sorted, 0.99),
-            p999: percentile(&sorted, 0.999),
-        }
-    }
-
-    /// Summarise a streaming [`LogHistogram`] instead of a sample buffer.
-    ///
-    /// `samples`/`min`/`max`/`mean` are exact (the histogram tracks them
-    /// alongside its buckets); percentiles are log₂-bucket estimates
-    /// (within ~2× of the sorted-sample value, monotone in `q`).  This is
-    /// the hot-path constructor: workers keep allocation-free per-worker
-    /// histograms and merge them instead of collecting every sample.
-    pub fn from_histogram(hist: &LogHistogram) -> Self {
-        Self {
-            samples: hist.count() as usize,
-            min: hist.min_seconds(),
-            max: hist.max_seconds(),
-            mean: hist.mean(),
-            p50: hist.p50(),
-            p95: hist.p95(),
-            p99: hist.p99(),
-            p999: hist.p999(),
-        }
-    }
 }
 
 /// One row of the weak-scaling table (Table III).
@@ -285,59 +202,6 @@ mod tests {
 
     fn paper_grid() -> Dims {
         Dims::new(750, 994, 922)
-    }
-
-    #[test]
-    fn latency_stats_summarise_unsorted_samples() {
-        let stats = LatencyStats::from_samples(&[0.3, 0.1, 0.2, 0.4, 1.0]);
-        assert_eq!(stats.samples, 5);
-        assert_eq!(stats.min, 0.1);
-        assert_eq!(stats.max, 1.0);
-        assert!((stats.mean - 0.4).abs() < 1e-12);
-        assert_eq!(stats.p50, 0.3);
-        assert_eq!(stats.p95, 1.0);
-        assert_eq!(stats.p99, 1.0);
-        assert_eq!(stats.p999, 1.0);
-    }
-
-    #[test]
-    fn latency_stats_from_histogram_match_exact_moments() {
-        let mut hist = LogHistogram::new();
-        let samples = [0.25, 0.5, 1.0, 2.0];
-        for v in samples {
-            hist.record(v);
-        }
-        let stats = LatencyStats::from_histogram(&hist);
-        let exact = LatencyStats::from_samples(&samples);
-        assert_eq!(stats.samples, exact.samples);
-        assert_eq!(stats.min, exact.min);
-        assert_eq!(stats.max, exact.max);
-        assert!((stats.mean - exact.mean).abs() < 1e-12);
-        // Percentiles are log2-bucket estimates: monotone and within 2x.
-        assert!(stats.p50 <= stats.p95 && stats.p95 <= stats.p99 && stats.p99 <= stats.p999);
-        assert!(stats.p50 >= exact.p50 / 2.0 && stats.p50 <= exact.p50 * 2.0);
-        let empty = LatencyStats::from_histogram(&LogHistogram::new());
-        assert_eq!(empty, LatencyStats::from_samples(&[]));
-    }
-
-    #[test]
-    fn latency_stats_handle_empty_and_single_samples() {
-        let empty = LatencyStats::from_samples(&[]);
-        assert_eq!(empty.samples, 0);
-        assert_eq!(empty.p95, 0.0);
-        let one = LatencyStats::from_samples(&[2.5]);
-        assert_eq!((one.min, one.max, one.p50, one.p95), (2.5, 2.5, 2.5, 2.5));
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let sorted = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&sorted, 0.0), 1.0);
-        assert_eq!(percentile(&sorted, 0.25), 1.0);
-        assert_eq!(percentile(&sorted, 0.5), 2.0);
-        assert_eq!(percentile(&sorted, 0.75), 3.0);
-        assert_eq!(percentile(&sorted, 1.0), 4.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
     }
 
     #[test]

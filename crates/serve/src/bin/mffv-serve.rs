@@ -9,7 +9,9 @@
 //! Binds, prints the bound address (and writes it to `--port-file` if given,
 //! for scripts binding port 0), then serves until a client sends a
 //! `Shutdown` frame — `Drain` finishes every accepted job first, `Abort`
-//! cancels at the next iteration boundary.
+//! cancels at the next iteration boundary.  With `--metrics` it prints the
+//! registry's counters, gauges and histograms (count, p50, p99, max,
+//! clamped) after shutdown.
 
 use mffv_serve::{RunningServer, ServeConfig, Server};
 use mffv_telemetry::MetricsRegistry;
@@ -98,6 +100,16 @@ fn run(args: Args) -> Result<(), String> {
         }
         for (name, value) in &snapshot.gauges {
             println!("  {name} = {value}");
+        }
+        for (name, hist) in &snapshot.histograms {
+            println!(
+                "  {name}: count {}, p50 {:.3e} s, p99 {:.3e} s, max {:.3e} s, clamped {}",
+                hist.count(),
+                hist.p50(),
+                hist.p99(),
+                hist.max_seconds(),
+                hist.clamped()
+            );
         }
     }
     println!("mffv-serve stopped");

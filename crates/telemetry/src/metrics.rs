@@ -2,10 +2,10 @@
 //! histograms behind one mutex.
 //!
 //! The registry is for *cold* paths — job completions, queue high-water
-//! marks, per-batch rollups.  Hot loops keep a private [`LogHistogram`]
-//! (allocation-free, no lock) and fold it in once at the end via
-//! [`MetricsRegistry::merge_histogram`]; that is how the engine's workers
-//! report per-job execution latency without contending per sample.
+//! marks, per-job latency samples.  The engine's workers take its lock once
+//! per finished job (a solve is milliseconds or more), recording execution
+//! latency straight into a named [`LogHistogram`] with
+//! [`MetricsRegistry::observe`].
 //!
 //! All maps are `BTreeMap`s, so snapshots iterate in sorted name order and
 //! JSON exports are canonical.
@@ -71,15 +71,6 @@ impl MetricsRegistry {
             .entry(name.to_string())
             .or_default()
             .record(seconds);
-    }
-
-    /// Fold a worker-local histogram into a named histogram.
-    pub fn merge_histogram(&self, name: &str, hist: &LogHistogram) {
-        self.state()
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .merge(hist);
     }
 
     /// Current counter value (0 if absent).
@@ -163,9 +154,7 @@ mod tests {
         let clone = registry.clone();
         clone.inc("z.last");
         clone.inc("a.first");
-        let mut local = LogHistogram::new();
-        local.record(1e-3);
-        registry.merge_histogram("lat", &local);
+        registry.observe("lat", 1e-3);
 
         let snapshot = registry.snapshot();
         assert!(!snapshot.is_empty());

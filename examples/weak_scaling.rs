@@ -87,7 +87,7 @@ fn main() {
         batch.workers,
         batch.wall_seconds,
         batch.jobs_per_second(),
-        batch.latency.p95,
+        batch.latency.p95(),
     );
     println!("The critical-path hop count grows with the fabric perimeter — the reduction cost");
     println!(

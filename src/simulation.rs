@@ -595,7 +595,7 @@ mod tests {
         assert_eq!(batch.jobs(), 2);
         assert!(batch.all_succeeded());
         assert_eq!(batch.workers, 2);
-        assert!(batch.latency.p95 >= batch.latency.p50);
+        assert!(batch.latency.p95() >= batch.latency.p50());
         let serial: Vec<SolveReport> = all_reports(sim.run_all());
         for (outcome, reference) in batch.outcomes.iter().zip(serial.iter()) {
             let report = outcome.report().unwrap();
