@@ -32,9 +32,12 @@ pub fn residual_into<T: Scalar>(
     let dims = pressure.dims();
     assert_eq!(dims, coeffs.dims(), "coefficient table dimension mismatch");
     assert_eq!(dims, out.dims(), "residual buffer dimension mismatch");
+    // The cells are visited in linear order, so the sorted Dirichlet list is
+    // walked in lockstep instead of searched per cell.
+    let mut pinned = dirichlet.sorted_linear().iter().peekable();
     for c in dims.iter_cells() {
         let k = dims.linear(c);
-        if let Some(pd) = dirichlet.value_at_linear(k) {
+        if let Some(&(_, pd)) = pinned.next_if(|&&(idx, _)| idx == k) {
             out.set(k, pressure.get(k) - T::from_f64(pd));
             continue;
         }
@@ -67,14 +70,10 @@ pub fn newton_rhs_into<T: Scalar>(
     dirichlet: &DirichletSet,
     out: &mut CellField<T>,
 ) {
-    let dims = residual.dims();
-    assert_eq!(dims, out.dims(), "rhs buffer dimension mismatch");
-    for k in 0..dims.num_cells() {
-        if dirichlet.contains_linear(k) {
-            out.set(k, T::ZERO);
-        } else {
-            out.set(k, residual.get(k));
-        }
+    assert_eq!(residual.dims(), out.dims(), "rhs buffer dimension mismatch");
+    out.copy_from(residual);
+    for &(k, _) in dirichlet.sorted_linear() {
+        out.set(k, T::ZERO);
     }
 }
 

@@ -67,6 +67,12 @@ impl DirichletSet {
         &self.cells
     }
 
+    /// The Dirichlet cells as `(linear index, prescribed value)` pairs in
+    /// increasing index order — the order of a linear sweep over the grid.
+    pub fn sorted_linear(&self) -> &[(usize, f64)] {
+        &self.sorted_indices
+    }
+
     /// Whether the cell at `linear_index` is a Dirichlet cell.
     #[inline]
     pub fn contains_linear(&self, linear_index: usize) -> bool {

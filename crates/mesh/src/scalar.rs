@@ -53,8 +53,14 @@ pub trait Scalar:
     fn abs(self) -> Self;
     /// Square root.
     fn sqrt(self) -> Self;
-    /// Fused multiply-add `self * a + b` (maps onto the FMA instruction counted in
-    /// Table V of the paper).
+    /// Fused multiply-add `self * a + b` with a single rounding — the FMA
+    /// instruction counted in Table V of the paper.
+    ///
+    /// It compiles to one hardware FMA instruction only where the target has
+    /// one: on aarch64 always, on x86-64 only with the `fma` target feature,
+    /// which the workspace's `.cargo/config.toml` turns on.  Without it the
+    /// call goes to the out-of-line libm `fma`.  Both are correctly rounded,
+    /// so the result is bitwise the same; only the speed differs.
     fn mul_add(self, a: Self, b: Self) -> Self;
     /// Elementwise maximum.
     fn max_with(self, other: Self) -> Self;

@@ -17,13 +17,24 @@ use crate::field::CellField;
 use crate::mesh::CartesianMesh;
 use crate::neighbors::Direction;
 use crate::scalar::Scalar;
+use std::sync::OnceLock;
 
 /// Per-cell, per-direction transmissibility coefficients `Υ_KL λ_KL`.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct Transmissibilities<T: Scalar> {
     dims: Dims,
     /// `data[cell][Direction::index()]`.
     data: Vec<[T; 6]>,
+    /// Memoised [`fingerprint`](Self::fingerprint), computed on first use.
+    /// The table has no `&mut` API, so the digest can never go stale.
+    fingerprint: OnceLock<u64>,
+}
+
+/// Equal grid extents and coefficients; the fingerprint memo is ignored.
+impl<T: Scalar> PartialEq for Transmissibilities<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.dims == other.dims && self.data == other.data
+    }
 }
 
 impl<T: Scalar> Transmissibilities<T> {
@@ -61,7 +72,7 @@ impl<T: Scalar> Transmissibilities<T> {
                 }
             }
         }
-        Self { dims, data }
+        Self::from_rows(dims, data)
     }
 
     /// A uniform coefficient on every interior face (zero on boundary faces).  This
@@ -77,7 +88,7 @@ impl<T: Scalar> Transmissibilities<T> {
                 }
             }
         }
-        Self { dims, data }
+        Self::from_rows(dims, data)
     }
 
     /// Build from an explicit per-cell coefficient table (one `[T; 6]` row per
@@ -88,7 +99,11 @@ impl<T: Scalar> Transmissibilities<T> {
     /// an already-symmetric fine table.
     pub fn from_rows(dims: Dims, data: Vec<[T; 6]>) -> Self {
         assert_eq!(data.len(), dims.num_cells(), "coefficient row count");
-        Self { dims, data }
+        Self {
+            dims,
+            data,
+            fingerprint: OnceLock::new(),
+        }
     }
 
     /// Grid extents.
@@ -158,20 +173,18 @@ impl<T: Scalar> Transmissibilities<T> {
 
     /// Convert to a different scalar precision.
     pub fn convert<U: Scalar>(&self) -> Transmissibilities<U> {
-        Transmissibilities {
-            dims: self.dims,
-            data: self
-                .data
-                .iter()
-                .map(|row| {
-                    let mut out = [U::ZERO; 6];
-                    for (o, v) in out.iter_mut().zip(row.iter()) {
-                        *o = U::from_f64(v.to_f64());
-                    }
-                    out
-                })
-                .collect(),
-        }
+        let data = self
+            .data
+            .iter()
+            .map(|row| {
+                let mut out = [U::ZERO; 6];
+                for (o, v) in out.iter_mut().zip(row.iter()) {
+                    *o = U::from_f64(v.to_f64());
+                }
+                out
+            })
+            .collect();
+        Transmissibilities::from_rows(self.dims, data)
     }
 
     /// Approximate memory footprint in bytes of the per-cell coefficient table; used
@@ -185,7 +198,14 @@ impl<T: Scalar> Transmissibilities<T> {
     /// transmissibility component of a solve-context cache key (see
     /// [`crate::fingerprint`]).  Equal tables fingerprint equal; any single
     /// bit of any coefficient changes the digest.
+    ///
+    /// Computed once per table on first call and memoised, so a cached
+    /// workload keyed on every job pays the O(cells) hash only once.
     pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| self.compute_fingerprint())
+    }
+
+    fn compute_fingerprint(&self) -> u64 {
         let mut hash = crate::fingerprint::Fnv1a::new();
         hash.write_usize(self.dims.nx);
         hash.write_usize(self.dims.ny);
@@ -305,6 +325,37 @@ mod tests {
         assert_eq!(tf.get(0, Direction::XP), 1.25);
         assert_eq!(t.bytes(), 8 * 6 * 8);
         assert_eq!(tf.bytes(), 8 * 6 * 4);
+    }
+
+    #[test]
+    fn memoised_fingerprint_equals_a_fresh_digest() {
+        let dims = Dims::new(5, 4, 3);
+        let perm = PermeabilityModel::LogNormal {
+            mean_log: 0.0,
+            std_log: 1.0,
+            seed: 9,
+        }
+        .generate(dims);
+        let t = Transmissibilities::<f64>::from_mesh(&CartesianMesh::unit(dims), &perm, 1.0);
+        let fresh = t.compute_fingerprint();
+        assert_eq!(t.fingerprint(), fresh);
+        assert_eq!(t.fingerprint(), fresh, "a second call reads the memo");
+
+        // A clone carries the memo; it must still be the clone's own digest.
+        let copy = t.clone();
+        assert_eq!(copy.fingerprint(), copy.compute_fingerprint());
+        assert_eq!(copy, t);
+
+        // A converted table memoises its own digest, not the source's.
+        let single: Transmissibilities<f32> = t.convert();
+        assert_eq!(single.fingerprint(), single.compute_fingerprint());
+        let back: Transmissibilities<f64> = single.convert();
+        assert_eq!(back.fingerprint(), back.compute_fingerprint());
+
+        // Equality ignores the memo: an unkeyed equal table compares equal.
+        let unkeyed = Transmissibilities::from_rows(dims, t.cell_rows().to_vec());
+        assert_eq!(unkeyed, t);
+        assert_eq!(unkeyed.fingerprint(), fresh);
     }
 
     proptest! {
