@@ -16,7 +16,7 @@ use mffv_solver::context::SolveContextCache;
 use mffv_solver::monitor::{
     with_composed_monitor, CancelToken, SolveMonitor, StopPolicy, StopReason,
 };
-use mffv_solver::transient::{run_transient_monitored, run_transient_traced};
+use mffv_solver::transient::run_transient;
 use mffv_telemetry::Span;
 
 /// One unit of work for the engine: solve `workload_spec` on `backend` under
@@ -178,8 +178,8 @@ impl JobSpec {
     /// * `cache` — a warm, worker-owned
     ///   [`SolveContextCache`]: steady jobs reuse its workload, operator,
     ///   preconditioner and CG scratch whenever the job's key matches the
-    ///   previous one (see [`mffv_solver::context`]).  Transient jobs keep
-    ///   their own per-run stepper cache and ignore it.
+    ///   previous one (see [`mffv_solver::context`]).  Transient jobs step
+    ///   on their own per-run context and ignore it.
     ///
     /// Tracing, observing and caching never change the arithmetic: a job
     /// that is not stopped reports bitwise the same values traced or not,
@@ -208,26 +208,16 @@ impl JobSpec {
         }
         let backend = self.backend.instantiate();
         if let Some(transient) = &self.transient {
-            let report = match observer {
-                Some(observer) => run_transient_monitored(
-                    backend.as_ref(),
-                    &workload,
-                    transient,
-                    &self.solve_config,
-                    &policy,
-                    span,
-                    observer,
-                )?,
-                None => run_transient_traced(
-                    backend.as_ref(),
-                    &workload,
-                    transient,
-                    &self.solve_config,
-                    &policy,
-                    span,
-                )?,
-            };
-            return Ok(report.summary_report());
+            return run_transient(
+                backend.as_ref(),
+                &workload,
+                transient,
+                &self.solve_config,
+                &policy,
+                span,
+                observer,
+            )
+            .map(|report| report.summary_report());
         }
         let mut session = (!policy.is_empty()).then(|| policy.session());
         let result = with_composed_monitor(session.as_mut(), observer, |monitor| {

@@ -96,11 +96,6 @@ impl<T: Scalar> MatrixFreeOperator<T> {
         self.diagonal = Some(values);
     }
 
-    /// Drop the diagonal shift, restoring the steady operator.
-    pub fn clear_diagonal_shift(&mut self) {
-        self.diagonal = None;
-    }
-
     /// The active diagonal shift, when one is set.
     pub fn diagonal_shift(&self) -> Option<&[T]> {
         self.diagonal.as_deref()
@@ -404,12 +399,6 @@ mod tests {
             };
             assert_eq!(shifted.get(k).to_bits(), expect.to_bits());
         }
-
-        // set/clear round-trips back to the steady operator.
-        let mut op = op;
-        op.clear_diagonal_shift();
-        assert!(op.diagonal_shift().is_none());
-        assert_eq!(op.apply_new(&x), plain);
     }
 
     #[test]

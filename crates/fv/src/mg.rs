@@ -396,14 +396,6 @@ impl<T: Scalar> MultigridVcycle<T> {
         }
     }
 
-    /// Drop the diagonal shift on every level, restoring the steady hierarchy.
-    pub fn clear_diagonal_shift(&mut self) {
-        for level in &mut self.levels {
-            level.operator.clear_diagonal_shift();
-            level.rebuild_inv_diag();
-        }
-    }
-
     /// One V-cycle `z = M⁻¹ r`, with `mg.vcycle` / per-level `mg.level`
     /// telemetry spans when `span` is recording.  Tracing never changes the
     /// arithmetic.
@@ -810,8 +802,6 @@ mod tests {
         for &v in coarse_shift {
             assert_eq!(v, 4.0);
         }
-        mg.clear_diagonal_shift();
-        assert!(mg.levels[1].operator.diagonal_shift().is_none());
     }
 
     #[test]

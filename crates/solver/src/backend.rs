@@ -28,7 +28,6 @@
 use crate::context::{SolveContext, SolveContextCache};
 use crate::convergence::ConvergenceHistory;
 use crate::monitor::{NullMonitor, SolveMonitor, StopReason};
-use crate::transient::{PlannedStepper, StepOutcome, StepRequest, TransientStepper};
 use mffv_fv::residual::residual;
 use mffv_mesh::{CellField, Scalar, Workload};
 use mffv_telemetry::{Span, Stopwatch};
@@ -420,12 +419,15 @@ impl<'a> SolveRequest<'a> {
 }
 
 /// One pressure-solve target: host oracle, GPU-style reference, dataflow
-/// fabric, or anything future PRs register.
+/// fabric, or anything registered later.
 ///
-/// The trait is object-safe.  [`solve`](Self::solve) is its one solve entry
-/// point; every backend threads the request's monitor through its live inner
-/// loop, so deadlines and cancellation take effect within one iteration
-/// boundary.
+/// The trait is object-safe and has three methods: [`name`](Self::name),
+/// [`solve`](Self::solve) — the one steady solve entry point, which threads
+/// the request's monitor through the backend's live inner loop, so deadlines
+/// and cancellation take effect within one iteration boundary — and
+/// [`step_precision`](Self::step_precision), the precision transient runs
+/// step at.  Transient time steps are not a backend hook: every backend
+/// steps through [`SolveContext::step`] at its step precision.
 pub trait SolveBackend {
     /// Unique, stable name ("host-f64", "gpu-ref-A100", "dataflow"…).
     fn name(&self) -> String;
@@ -438,52 +440,15 @@ pub trait SolveBackend {
     /// add their own build spans (the host adds `build-operator`).
     fn solve(&self, request: SolveRequest<'_>) -> Result<SolveReport, SolveError>;
 
-    /// The arithmetic precision this backend steps transient systems at.
+    /// The arithmetic precision transient runs of this backend step at.
     ///
-    /// Defaults to `f64`; device-style backends (the paper's machines
-    /// compute in single precision) override it to [`Precision::F32`], and
-    /// the host backend reports its configured precision.
+    /// [`run_transient`](crate::transient::run_transient) steps every
+    /// backend on one host [`SolveContext`] at this precision.  Defaults to
+    /// `f64`; device-style backends (the paper's machines compute in single
+    /// precision) override it to [`Precision::F32`], and the host backend
+    /// reports its configured precision.
     fn step_precision(&self) -> Precision {
         Precision::F64
-    }
-
-    /// Advance one backward-Euler step of a transient scenario (see
-    /// [`crate::transient`]): solve `(A + D + W) δ = r(pⁿ) + q(pⁿ)` and
-    /// return `p^{n+1}`, with `monitor` threaded through the step's inner
-    /// CG loop exactly like [`SolveRequest::monitor`].
-    ///
-    /// The default implementation runs the shared shifted-CG step on the
-    /// host's planned stencil kernels at [`step_precision`](Self::step_precision)
-    /// — every backend therefore supports transient simulation out of the
-    /// box, in its native arithmetic, with the same bitwise thread-count
-    /// independence as steady solves.  Backends with genuinely different
-    /// stepping machinery can override it.
-    fn step(
-        &self,
-        request: &StepRequest<'_>,
-        config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
-    ) -> Result<StepOutcome, SolveError> {
-        self.transient_session(request.workload, config)?
-            .step(request, config, monitor)
-    }
-
-    /// Arm a stepping session for a whole transient run: the returned
-    /// [`TransientStepper`] may cache per-run kernel state (the default one
-    /// builds the planned operator once and swaps only the `Δt`-dependent
-    /// diagonal between steps), producing outcomes bitwise identical to
-    /// repeated [`step`](Self::step) calls.
-    /// [`run_transient`](crate::transient::run_transient) drives the
-    /// schedule through one session.
-    fn transient_session(
-        &self,
-        workload: &Workload,
-        config: &SolveConfig,
-    ) -> Result<Box<dyn TransientStepper>, SolveError> {
-        Ok(match self.step_precision() {
-            Precision::F64 => Box::new(PlannedStepper::<f64>::new(workload, config)),
-            Precision::F32 => Box::new(PlannedStepper::<f32>::new(workload, config)),
-        })
     }
 }
 

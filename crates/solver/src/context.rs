@@ -1,12 +1,13 @@
-//! Pooled solve contexts for the zero-allocation steady-state serving path.
+//! Pooled solve contexts: the host's one operator/preconditioner cache.
 //!
 //! A service worker solving the same problem family job after job should not
 //! rebuild the stencil plan, the preconditioner, or the five CG work vectors
-//! on every request.  [`SolveContext`] keeps all of that warm across solves,
-//! keyed the same way [`crate::transient::PlannedStepper`] caches across
-//! transient steps: identical dims + Dirichlet topology + transmissibility
-//! values + diagonal shift ⇒ reuse, anything else ⇒ rebuild.  A warm context
-//! is **bitwise identical** to a fresh one — every reused buffer is fully
+//! on every request, and a transient run should not rebuild them on every
+//! time step.  [`SolveContext`] keeps all of that warm, keyed by
+//! [`ContextKey`]: identical dims + Dirichlet topology + transmissibility
+//! values + diagonal shift ⇒ reuse; a change in the diagonal shift alone ⇒
+//! swap the shift in place; anything else ⇒ rebuild.  A warm context is
+//! **bitwise identical** to a fresh one — every reused buffer is fully
 //! overwritten before it is read (see [`CgScratch`]) — so turning the cache on
 //! or off never changes a residual history.
 //!
@@ -14,7 +15,9 @@
 //! [`HostBackend`](crate::backend::HostBackend) runs every solve through it,
 //! on a cached context or on a fresh one-shot context that skips the key
 //! fingerprints.  The allocate-per-solve Newton solve of [`crate::newton`] is
-//! its independent reference.
+//! its independent reference.  [`SolveContext::step`] is the transient
+//! counterpart: [`run_transient`](crate::transient::run_transient) steps a
+//! whole run on one context, and both share one CG-vs-PCG dispatch.
 //!
 //! [`SolveContextCache`] bundles one context per host precision plus a
 //! spec-keyed [`Workload`] cache; the engine gives each worker one and hands
@@ -22,10 +25,12 @@
 
 use crate::backend::{PreconditionerKind, SolveConfig};
 use crate::cg::ConjugateGradient;
-use crate::convergence::ConvergenceHistory;
+use crate::convergence::{ConvergenceHistory, StoppingCriterion};
 use crate::monitor::{SolveMonitor, StopReason};
 use crate::pcg::{JacobiPreconditioner, PreconditionedConjugateGradient};
 use crate::trace::TraceMonitor;
+use crate::transient::{StepOutcome, StepRequest};
+use mffv_fv::residual::{newton_rhs, residual};
 use mffv_fv::{
     newton_rhs_into, residual_into, MatrixFreeOperator, MgConfig, MultigridVcycle, Preconditioner,
 };
@@ -191,12 +196,76 @@ impl<T: Scalar> ContextPrecond<T> {
     }
 }
 
+/// The stopping criterion `config` sets for `workload`.
+fn criterion(config: &SolveConfig, workload: &Workload) -> StoppingCriterion {
+    StoppingCriterion::new(
+        config.effective_tolerance(workload),
+        config.effective_max_iterations(workload),
+    )
+}
+
+/// Jacobi on the shifted operator: the raw coefficient row sums plus the
+/// shift, and 1 on Dirichlet rows.  Boundary faces carry zero coefficients,
+/// so the raw row sum is exactly the operator diagonal.
+fn shifted_jacobi<T: Scalar>(
+    operator: &MatrixFreeOperator<T>,
+    shift: &CellField<f64>,
+) -> JacobiPreconditioner<T> {
+    let dims = shift.dims();
+    let coeffs = operator.coefficients();
+    let diagonal = CellField::from_fn(dims, |c| {
+        let k = dims.linear(c);
+        if operator.is_dirichlet(k) {
+            T::ONE
+        } else {
+            coeffs.row_sum(k) + T::from_f64(shift.get(k))
+        }
+    });
+    JacobiPreconditioner::from_diagonal(&diagonal)
+}
+
 /// A cached operator + preconditioner pair and the key it was built for
 /// (`None` on a one-shot context, which is never compared).
 struct ContextState<T: Scalar> {
     key: Option<ContextKey>,
     operator: MatrixFreeOperator<T>,
     precond: ContextPrecond<T>,
+}
+
+impl<T: Scalar> ContextState<T> {
+    /// The one Krylov dispatch of the host: plain CG, or PCG under the
+    /// cached preconditioner (applied under `span`), reporting to `monitor`
+    /// through a [`TraceMonitor`] under `span`.  `x0 = None` starts from
+    /// zero.
+    fn krylov(
+        &self,
+        criterion: StoppingCriterion,
+        rhs: &CellField<T>,
+        x0: Option<&CellField<T>>,
+        monitor: &mut dyn SolveMonitor,
+        span: &Span,
+        scratch: &mut CgScratch<T>,
+    ) -> Option<StopReason> {
+        let mut monitor = TraceMonitor::new(span, monitor);
+        match self.precond.as_dyn() {
+            None => ConjugateGradient::new(criterion).solve_into(
+                &self.operator,
+                rhs,
+                x0,
+                &mut monitor,
+                scratch,
+            ),
+            Some(pc) => PreconditionedConjugateGradient::new(criterion).solve_traced_into(
+                &self.operator,
+                pc,
+                rhs,
+                x0,
+                &mut monitor,
+                span,
+                scratch,
+            ),
+        }
+    }
 }
 
 /// Cache-behaviour counters of a [`SolveContext`] (and, summed, of a
@@ -223,7 +292,8 @@ impl ContextStats {
     }
 }
 
-/// A warm, reusable steady-solve context at one precision.
+/// A warm, reusable solve context at one precision, for steady solves
+/// ([`solve`](Self::solve)) and transient steps ([`step`](Self::step)).
 ///
 /// Owns the keyed operator/preconditioner cache, the [`CgScratch`] arena and
 /// the Newton buffers.  After the first solve of a given shape ("warmup"),
@@ -266,15 +336,21 @@ impl<T: Scalar> SolveContext<T> {
     }
 
     /// Ensure the cached operator + preconditioner match `workload` under the
-    /// given knobs, rebuilding on a key mismatch.  Returns `true` on a cache
-    /// hit.  Build-phase spans (`build-operator`, `mg.build`) are recorded
-    /// under `span` on hits and misses alike — on a hit they close
-    /// immediately, so span-tree *shape* stays independent of cache warmth
-    /// (job-to-worker assignment varies with worker count, and shape is
-    /// pinned across worker counts by `tests/telemetry.rs`).  The cache
-    /// counters, not span presence, are the reuse observable; a hit costs
-    /// two fingerprints and a key compare.  A one-shot context always
-    /// rebuilds and computes no key.
+    /// given knobs.  Returns `true` on a cache hit.  When the cached key
+    /// differs only in its diagonal shift and `shift` is `Some` (the next
+    /// step of a transient run), the shift is swapped in place — on the
+    /// operator, into a rebuilt Jacobi diagonal, or down the multigrid
+    /// hierarchy — without rebuilding the stencil plan or the hierarchy;
+    /// this counts as a miss.  Any other key mismatch rebuilds.
+    ///
+    /// Build-phase spans (`build-operator`, `mg.build`) are recorded under
+    /// `span` on hits and misses alike — on a hit they close immediately,
+    /// so span-tree *shape* stays independent of cache warmth (job-to-worker
+    /// assignment varies with worker count, and shape is pinned across
+    /// worker counts by `tests/telemetry.rs`).  The cache counters, not span
+    /// presence, are the reuse observable; a hit costs the key fingerprints
+    /// and a key compare.  A one-shot context always rebuilds and computes
+    /// no key.
     pub fn prepare(
         &mut self,
         workload: &Workload,
@@ -284,7 +360,7 @@ impl<T: Scalar> SolveContext<T> {
         span: &Span,
     ) -> bool {
         let key = (!self.one_shot).then(|| ContextKey::of(workload, threads, kind, shift));
-        if let (Some(state), Some(key)) = (&self.state, key) {
+        if let (Some(state), Some(key)) = (&mut self.state, key) {
             if state.key == Some(key) {
                 self.stats.hits += 1;
                 // Emit the build-phase skeleton even when nothing rebuilds:
@@ -297,6 +373,27 @@ impl<T: Scalar> SolveContext<T> {
                 }
                 return true;
             }
+            let only_shift_differs = state.key.map(|cached| ContextKey {
+                shift_fp: key.shift_fp,
+                ..cached
+            }) == Some(key);
+            if let (true, Some(diag)) = (only_shift_differs, shift) {
+                self.stats.misses += 1;
+                let build = span.child("build-operator");
+                state.operator.set_diagonal_shift(diag);
+                build.finish();
+                match &mut state.precond {
+                    ContextPrecond::None => {}
+                    ContextPrecond::Jacobi(pc) => *pc = shifted_jacobi(&state.operator, diag),
+                    ContextPrecond::Mg(mg) => {
+                        let mg_build = span.child("mg.build");
+                        mg.set_diagonal_shift(diag);
+                        mg_build.finish();
+                    }
+                }
+                state.key = Some(key);
+                return false;
+            }
         }
         self.stats.misses += 1;
         let build = span.child("build-operator");
@@ -308,27 +405,11 @@ impl<T: Scalar> SolveContext<T> {
         let precond = match kind {
             PreconditionerKind::None => ContextPrecond::None,
             PreconditionerKind::Jacobi => ContextPrecond::Jacobi(match shift {
-                // Bitwise-match the steady host path: Jacobi from the raw
-                // coefficient row sums.
                 None => JacobiPreconditioner::from_coefficients(
                     operator.coefficients(),
                     workload.dirichlet(),
                 ),
-                // Bitwise-match the transient path: shifted row-sum diagonal
-                // (see `PlannedStepper::refresh_precond`).
-                Some(diag) => {
-                    let dims = workload.dims();
-                    let coeffs = operator.coefficients();
-                    let shifted = CellField::from_fn(dims, |c| {
-                        let k = dims.linear(c);
-                        if operator.is_dirichlet(k) {
-                            T::ONE
-                        } else {
-                            coeffs.row_sum(k) + T::from_f64(diag.get(k))
-                        }
-                    });
-                    JacobiPreconditioner::from_diagonal(&shifted)
-                }
+                Some(diag) => shifted_jacobi(&operator, diag),
             }),
             PreconditionerKind::Mg => {
                 let mg_build = span.child("mg.build");
@@ -362,19 +443,15 @@ impl<T: Scalar> SolveContext<T> {
         monitor: &mut dyn SolveMonitor,
         span: &Span,
     ) -> Option<StopReason> {
-        let tolerance = config.effective_tolerance(workload);
-        let max_iterations = config.effective_max_iterations(workload);
-        let threads = config.effective_threads();
         let dims = workload.dims();
-
-        self.prepare(workload, threads, config.preconditioner, None, span);
-        if self
-            .scratch
-            .get_or_insert_with(|| CgScratch::new(dims))
-            .ensure(dims)
-        {
-            self.stats.scratch_reallocs += 1;
-        }
+        self.prepare(
+            workload,
+            config.effective_threads(),
+            config.preconditioner,
+            None,
+            span,
+        );
+        self.ensure_scratch(dims);
         if self
             .newton
             .as_ref()
@@ -388,7 +465,7 @@ impl<T: Scalar> SolveContext<T> {
         // and the scratch buffers (exclusive) can be used together.
         // audit: allow(panic) — invariant: `prepare` above always sets `state`
         let state = self.state.as_ref().expect("prepare populated the state");
-        // audit: allow(panic) — invariant: `get_or_insert_with` above always sets `scratch`
+        // audit: allow(panic) — invariant: `ensure_scratch` above always sets `scratch`
         let scratch = self.scratch.as_mut().expect("scratch was just ensured");
         // audit: allow(panic) — invariant: the block above always sets `newton`
         let newton = self.newton.as_mut().expect("newton was just ensured");
@@ -404,26 +481,14 @@ impl<T: Scalar> SolveContext<T> {
         );
         newton_rhs_into(&newton.residual, workload.dirichlet(), &mut newton.rhs);
 
-        let mut monitor = TraceMonitor::new(span, monitor);
-        let stopped = match state.precond.as_dyn() {
-            None => ConjugateGradient::with_tolerance(tolerance, max_iterations).solve_into(
-                &state.operator,
-                &newton.rhs,
-                None,
-                &mut monitor,
-                scratch,
-            ),
-            Some(pc) => PreconditionedConjugateGradient::with_tolerance(tolerance, max_iterations)
-                .solve_traced_into(
-                    &state.operator,
-                    pc,
-                    &newton.rhs,
-                    None,
-                    &mut monitor,
-                    span,
-                    scratch,
-                ),
-        };
+        let stopped = state.krylov(
+            criterion(config, workload),
+            &newton.rhs,
+            None,
+            monitor,
+            span,
+            scratch,
+        );
 
         newton.pressure.axpy(T::ONE, &scratch.solution);
         residual_into(
@@ -433,6 +498,107 @@ impl<T: Scalar> SolveContext<T> {
             &mut newton.residual,
         );
         stopped
+    }
+
+    /// Advance one backward-Euler step of a transient run (see
+    /// [`crate::transient`]): solve `(A + D + W) δ = r(pⁿ) + q(pⁿ)` for the
+    /// pressure update `δ` and return `p^{n+1} = pⁿ + δ`.
+    ///
+    /// The step diagonal `D + W` (accumulation everywhere, plus the
+    /// productivity index of every active BHP well) goes through
+    /// [`prepare`](Self::prepare) as the operator's diagonal shift, so
+    /// consecutive steps of one run share the stencil plan and the
+    /// preconditioner and swap only the shift when `Δt` or the active well
+    /// set changes it.  The Krylov loop starts from the request's warm
+    /// `δ` (or zero) and runs through the same dispatch and
+    /// [`TraceMonitor`] wrap as [`solve`](Self::solve).  Dirichlet rows are
+    /// pinned to `δ = 0`, keeping boundary pressures exact.  The system is
+    /// SPD for any `Δt > 0`, even without Dirichlet cells: the accumulation
+    /// diagonal regularises the pure-Neumann operator.
+    ///
+    /// The outcome is bitwise identical on a fresh and on a reused context.
+    pub fn step(
+        &mut self,
+        request: &StepRequest<'_>,
+        config: &SolveConfig,
+        monitor: &mut dyn SolveMonitor,
+        span: &Span,
+    ) -> StepOutcome {
+        let workload = request.workload;
+        let dims = workload.dims();
+        let active = request.active_wells();
+        // `set_diagonal_shift` zeroes the Dirichlet rows of this shift.
+        let mut shift = CellField::constant(dims, request.accumulation_coefficient());
+        for &(k, well) in &active {
+            shift.set(k, shift.get(k) + well.diagonal_coefficient());
+        }
+        self.prepare(
+            workload,
+            config.effective_threads(),
+            config.preconditioner,
+            Some(&shift),
+            span,
+        );
+        self.ensure_scratch(dims);
+        // audit: allow(panic) — invariant: `prepare` above always sets `state`
+        let state = self.state.as_ref().expect("prepare populated the state");
+        // audit: allow(panic) — invariant: `ensure_scratch` above always sets `scratch`
+        let scratch = self.scratch.as_mut().expect("scratch was just ensured");
+
+        // RHS: flux residual at pⁿ (Dirichlet rows zeroed) plus well sources.
+        let p_n: CellField<T> = request.pressure.convert();
+        let r = residual(&p_n, state.operator.coefficients(), workload.dirichlet());
+        let mut b = newton_rhs(&r, workload.dirichlet());
+        for &(k, well) in &active {
+            b.set(
+                k,
+                b.get(k) + T::from_f64(well.rate_at(request.pressure.get(k))),
+            );
+        }
+        let x0: Option<CellField<T>> = request.warm_delta.map(CellField::convert);
+        let stopped = state.krylov(
+            criterion(config, workload),
+            &b,
+            x0.as_ref(),
+            monitor,
+            span,
+            scratch,
+        );
+
+        let delta: CellField<f64> = scratch.solution.convert();
+        let mut pressure = request.pressure.clone();
+        pressure.axpy(1.0, &delta);
+        let well_rates = request
+            .spec
+            .wells
+            .wells()
+            .iter()
+            .map(|w| {
+                if w.is_active(request.time) {
+                    w.rate_at(pressure.get(dims.linear(w.cell)))
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        StepOutcome {
+            pressure,
+            delta,
+            history: scratch.history.clone(),
+            stopped,
+            well_rates,
+        }
+    }
+
+    /// Make the CG scratch fit `dims`, counting a reallocation.
+    fn ensure_scratch(&mut self, dims: Dims) {
+        if self
+            .scratch
+            .get_or_insert_with(|| CgScratch::new(dims))
+            .ensure(dims)
+        {
+            self.stats.scratch_reallocs += 1;
+        }
     }
 
     /// The pressure field of the last [`solve`](Self::solve).
@@ -449,7 +615,8 @@ impl<T: Scalar> SolveContext<T> {
             .pressure
     }
 
-    /// The convergence history of the last [`solve`](Self::solve).
+    /// The convergence history of the last [`solve`](Self::solve) or
+    /// [`step`](Self::step).
     ///
     /// # Panics
     ///

@@ -39,8 +39,7 @@ pub use newton::{solve_pressure, solve_pressure_preconditioned, PressureSolution
 pub use pcg::{JacobiPreconditioner, PreconditionedConjugateGradient};
 pub use trace::{TraceMonitor, TRACE_CHUNK_ITERS};
 pub use transient::{
-    run_transient, run_transient_monitored, run_transient_traced, solve_step, PlannedStepper,
-    PressureSnapshot, StepOutcome, StepRequest, TransientReport, TransientStep, TransientStepper,
+    run_transient, PressureSnapshot, StepOutcome, StepRequest, TransientReport, TransientStep,
     WellTotal,
 };
 
@@ -64,9 +63,8 @@ pub mod prelude {
     pub use crate::reduction::{fabric_ordered_dot, fabric_ordered_sum};
     pub use crate::trace::{TraceMonitor, TRACE_CHUNK_ITERS};
     pub use crate::transient::{
-        run_transient, run_transient_monitored, run_transient_traced, solve_step, PlannedStepper,
-        PressureSnapshot, StepOutcome, StepRequest, TransientReport, TransientStep,
-        TransientStepper, WellTotal,
+        run_transient, PressureSnapshot, StepOutcome, StepRequest, TransientReport, TransientStep,
+        WellTotal,
     };
     pub use mffv_fv::{MgConfig, MultigridVcycle, Preconditioner};
 }

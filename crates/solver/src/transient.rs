@@ -17,28 +17,28 @@
 //!
 //! where `A` is the existing SPD flux operator, `D = diag(V·c_t/Δt)` the
 //! accumulation term and `W = diag(Σ WI)` the productivity indices of active
-//! BHP wells — both folded into the planned stencil kernels through
-//! [`MatrixFreeOperator::with_diagonal_shift`], so the branch-free, fused,
-//! multithreaded apply path (and its bitwise thread-count independence)
-//! carries over unchanged to every step.
+//! BHP wells — both folded into the planned stencil kernels as the
+//! operator's diagonal shift
+//! ([`MatrixFreeOperator::set_diagonal_shift`](mffv_fv::MatrixFreeOperator::set_diagonal_shift)),
+//! so the branch-free, fused, multithreaded apply path (and its bitwise
+//! thread-count independence) carries over unchanged to every step.
 //!
 //! Steps **warm-start**: each CG solve begins from the previous step's `δ`
 //! (successive updates are similar for smooth schedules), which measurably
 //! reduces total CG iterations against cold zero starts while remaining
 //! fully deterministic.  [`run_transient`] drives the schedule of a
-//! [`TransientSpec`] through any [`SolveBackend`]'s
-//! [`step`](SolveBackend::step) and assembles the [`TransientReport`]:
+//! [`TransientSpec`] through [`SolveContext::step`] — one host context per
+//! run, at the backend's [`step_precision`](SolveBackend::step_precision),
+//! so the operator and preconditioner are reused across steps and only the
+//! diagonal shift is swapped — and assembles the [`TransientReport`]:
 //! per-step [`SolveReport`]s, requested pressure snapshots, and cumulative
 //! per-well volumes.
 
-use crate::backend::{PreconditionerKind, SolveBackend, SolveConfig, SolveError, SolveReport};
-use crate::cg::ConjugateGradient;
+use crate::backend::{Precision, SolveBackend, SolveConfig, SolveError, SolveReport};
+use crate::context::SolveContext;
 use crate::convergence::ConvergenceHistory;
 use crate::monitor::{with_composed_monitor, SolveMonitor, StopPolicy, StopReason};
-use crate::pcg::{JacobiPreconditioner, PreconditionedConjugateGradient};
-use crate::trace::TraceMonitor;
-use mffv_fv::residual::{interior_mass_imbalance, newton_rhs, residual};
-use mffv_fv::{MatrixFreeOperator, MgConfig, MultigridVcycle, Preconditioner};
+use mffv_fv::residual::{interior_mass_imbalance, residual};
 use mffv_mesh::{CellField, Scalar, TransientSpec, Well, Workload};
 use mffv_telemetry::{Span, Stopwatch};
 
@@ -98,265 +98,6 @@ pub struct StepOutcome {
     /// Per-well volumetric rate (m³/s, positive = injection) evaluated at
     /// `p^{n+1}`, in the spec's well order; zero for inactive wells.
     pub well_rates: Vec<f64>,
-}
-
-/// One armed stepping session: backends hand [`run_transient`] a stepper so
-/// per-run kernel state (the planned operator, converted coefficient
-/// tables) is built **once** and reused across every step, instead of per
-/// step.  Object-safe, like [`SolveBackend`] itself.
-pub trait TransientStepper {
-    /// Advance one backward-Euler step (see [`SolveBackend::step`] for the
-    /// contract; the outcome is bitwise identical to the one-shot path).
-    fn step(
-        &mut self,
-        request: &StepRequest<'_>,
-        config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
-    ) -> Result<StepOutcome, SolveError>;
-}
-
-/// Signature of the diagonal shift a step installed: the dt bits plus the
-/// active wells' completion cells and productivity indices.  While it is
-/// unchanged between steps (the common case: fixed dt, static schedule),
-/// the cached operator's diagonal is reused as-is.
-type DiagKey = (u64, Vec<(usize, u64)>);
-
-/// The default stepping session at precision `T`: the planned matrix-free
-/// operator is built once, and only the `Δt`/well-dependent diagonal shift
-/// is swapped (via [`MatrixFreeOperator::set_diagonal_shift`]) when the
-/// schedule actually changes it.
-pub struct PlannedStepper<T: Scalar> {
-    operator: MatrixFreeOperator<T>,
-    diag_key: Option<DiagKey>,
-    /// The step preconditioner, armed lazily on the first preconditioned
-    /// step and refreshed only when the diagonal shift actually changes.
-    precond: Option<StepPrecond<T>>,
-}
-
-/// The per-session preconditioner state of a [`PlannedStepper`]: Jacobi is
-/// rebuilt from the shifted diagonal; the multigrid hierarchy is built once
-/// and only its diagonal shift is re-propagated down the levels when `Δt`
-/// or the active well set changes.
-enum StepPrecond<T: Scalar> {
-    Jacobi(JacobiPreconditioner<T>),
-    Mg(MultigridVcycle<T>),
-}
-
-impl<T: Scalar> StepPrecond<T> {
-    fn as_dyn(&self) -> &dyn Preconditioner<T> {
-        match self {
-            StepPrecond::Jacobi(pc) => pc,
-            StepPrecond::Mg(pc) => pc,
-        }
-    }
-}
-
-impl<T: Scalar> PlannedStepper<T> {
-    /// Build the session's operator for `workload` (threads from `config`).
-    pub fn new(workload: &Workload, config: &SolveConfig) -> Self {
-        Self {
-            operator: MatrixFreeOperator::<T>::from_workload(workload)
-                .with_threads(config.effective_threads()),
-            diag_key: None,
-            precond: None,
-        }
-    }
-
-    /// (Re)arm the preconditioner for the current shifted operator.  `diag`
-    /// is the freshly installed shift; `changed` says whether it differs
-    /// from the previous step's (when it doesn't, a cached preconditioner is
-    /// reused as-is).
-    fn refresh_precond(
-        &mut self,
-        kind: PreconditionerKind,
-        workload: &Workload,
-        diag: Option<&CellField<f64>>,
-        changed: bool,
-        threads: usize,
-    ) {
-        match kind {
-            PreconditionerKind::None => self.precond = None,
-            PreconditionerKind::Jacobi => {
-                if changed || !matches!(self.precond, Some(StepPrecond::Jacobi(_))) {
-                    let dims = workload.dims();
-                    let coeffs = self.operator.coefficients();
-                    let shifted = CellField::from_fn(dims, |c| {
-                        let k = dims.linear(c);
-                        if self.operator.is_dirichlet(k) {
-                            T::ONE
-                        } else {
-                            // Boundary faces carry zero coefficients, so the
-                            // raw row sum is exactly the operator diagonal.
-                            let mut acc = coeffs.row_sum(k);
-                            if let Some(d) = diag {
-                                acc += T::from_f64(d.get(k));
-                            }
-                            acc
-                        }
-                    });
-                    self.precond = Some(StepPrecond::Jacobi(JacobiPreconditioner::from_diagonal(
-                        &shifted,
-                    )));
-                }
-            }
-            PreconditionerKind::Mg => {
-                if !matches!(self.precond, Some(StepPrecond::Mg(_))) {
-                    let mg = MultigridVcycle::new(
-                        self.operator.coefficients().clone(),
-                        workload.dirichlet(),
-                        threads,
-                        MgConfig::default(),
-                    );
-                    self.precond = Some(StepPrecond::Mg(mg));
-                    // A fresh hierarchy has no shift yet: force-install it.
-                    if let (Some(StepPrecond::Mg(mg)), Some(d)) = (&mut self.precond, diag) {
-                        mg.set_diagonal_shift(d);
-                    }
-                } else if changed {
-                    if let (Some(StepPrecond::Mg(mg)), Some(d)) = (&mut self.precond, diag) {
-                        mg.set_diagonal_shift(d);
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl<T: Scalar> TransientStepper for PlannedStepper<T> {
-    fn step(
-        &mut self,
-        request: &StepRequest<'_>,
-        config: &SolveConfig,
-        monitor: &mut dyn SolveMonitor,
-    ) -> Result<StepOutcome, SolveError> {
-        let workload = request.workload;
-        let dims = workload.dims();
-        let active = request.active_wells();
-
-        // Diagonal shift: accumulation everywhere, plus WI at active BHP
-        // wells (`set_diagonal_shift` zeroes Dirichlet rows).  Rebuilt only
-        // when dt or the active well set changes.
-        let key: DiagKey = (
-            request.dt.to_bits(),
-            active
-                .iter()
-                .map(|&(k, well)| (k, well.diagonal_coefficient().to_bits()))
-                .collect(),
-        );
-        let diag_changed = self.diag_key.as_ref() != Some(&key);
-        let make_diag = || {
-            let mut diag = CellField::constant(dims, request.accumulation_coefficient());
-            for &(k, well) in &active {
-                diag.set(k, diag.get(k) + well.diagonal_coefficient());
-            }
-            diag
-        };
-        let mut installed_diag = None;
-        if diag_changed {
-            let diag = make_diag();
-            self.operator.set_diagonal_shift(&diag);
-            self.diag_key = Some(key);
-            installed_diag = Some(diag);
-        }
-        // Arm/refresh the configured preconditioner.  The shifted diagonal
-        // must propagate into it (down the whole multigrid hierarchy), so it
-        // is keyed on the same dt/well signature as the operator's shift.
-        let need_refresh = diag_changed
-            || match (config.preconditioner, &self.precond) {
-                (PreconditionerKind::None, p) => p.is_some(),
-                (PreconditionerKind::Jacobi, Some(StepPrecond::Jacobi(_))) => false,
-                (PreconditionerKind::Mg, Some(StepPrecond::Mg(_))) => false,
-                _ => true,
-            };
-        if need_refresh {
-            let diag = installed_diag.take().unwrap_or_else(make_diag);
-            self.refresh_precond(
-                config.preconditioner,
-                workload,
-                Some(&diag),
-                diag_changed,
-                config.effective_threads(),
-            );
-        }
-
-        // RHS: flux residual at pⁿ (Dirichlet rows zeroed) plus well
-        // sources.  The operator's coefficient table is the same converted
-        // `Transmissibilities<T>` the one-shot path used, so reusing it
-        // keeps the outcome bitwise identical.
-        let p_n: CellField<T> = request.pressure.convert();
-        let r = residual(&p_n, self.operator.coefficients(), workload.dirichlet());
-        let mut b = newton_rhs(&r, workload.dirichlet());
-        for &(k, well) in &active {
-            b.set(
-                k,
-                b.get(k) + T::from_f64(well.rate_at(request.pressure.get(k))),
-            );
-        }
-
-        let x0 = match request.warm_delta {
-            Some(delta) => delta.convert(),
-            None => CellField::zeros(dims),
-        };
-        let tolerance = config.effective_tolerance(workload);
-        let max_iterations = config.effective_max_iterations(workload);
-        let outcome = match &self.precond {
-            Some(pc) => {
-                let solver =
-                    PreconditionedConjugateGradient::with_tolerance(tolerance, max_iterations);
-                solver.solve_monitored(&self.operator, pc.as_dyn(), &b, &x0, monitor)
-            }
-            None => {
-                let solver = ConjugateGradient::with_tolerance(tolerance, max_iterations);
-                solver.solve_monitored(&self.operator, &b, &x0, monitor)
-            }
-        };
-
-        let delta: CellField<f64> = outcome.solution.convert();
-        let mut pressure = request.pressure.clone();
-        pressure.axpy(1.0, &delta);
-
-        let well_rates = request
-            .spec
-            .wells
-            .wells()
-            .iter()
-            .map(|w| {
-                if w.is_active(request.time) {
-                    w.rate_at(pressure.get(dims.linear(w.cell)))
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-
-        Ok(StepOutcome {
-            pressure,
-            delta,
-            history: outcome.history,
-            stopped: outcome.stopped,
-            well_rates,
-        })
-    }
-}
-
-/// Solve one backward-Euler step at precision `T` on the host's planned
-/// stencil kernels — the one-shot form of [`PlannedStepper`], and the
-/// shared implementation behind the default [`SolveBackend::step`].
-///
-/// The step system `(A + D + W) δ = r(pⁿ) + q(pⁿ)` is SPD for any `Δt > 0`
-/// (even without Dirichlet cells: the accumulation diagonal regularises the
-/// pure-Neumann operator), so the unmodified CG loop applies.  Dirichlet
-/// rows are pinned to `δ = 0`, keeping boundary pressures exact.
-pub fn solve_step<T: Scalar>(
-    request: &StepRequest<'_>,
-    config: &SolveConfig,
-    monitor: &mut dyn SolveMonitor,
-) -> StepOutcome {
-    PlannedStepper::<T>::new(request.workload, config)
-        .step(request, config, monitor)
-        // audit: allow(panic) — invariant: PlannedStepper::step's only error
-        // path is a dims mismatch, and new() just built it from this workload.
-        .expect("the planned stepper is infallible")
 }
 
 /// One completed (or stopped) step of a transient run.
@@ -579,11 +320,32 @@ impl std::fmt::Display for TransientReport {
     }
 }
 
-/// Drive a [`TransientSpec`]'s full schedule through one
-/// [`transient_session`](SolveBackend::transient_session) of `backend`
-/// (kernel state cached across steps), warm-starting successive steps and
-/// threading `policy` through every per-step session (one shared wall-clock
-/// deadline; per-step budgets and stagnation rules).
+/// Drive a [`TransientSpec`]'s full schedule through `backend`,
+/// warm-starting successive steps and threading `policy` through every
+/// per-step session (one shared wall-clock deadline; per-step budgets and
+/// stagnation rules).
+///
+/// Every step runs [`SolveContext::step`] on one context at the backend's
+/// [`step_precision`](SolveBackend::step_precision), owned by the run: the
+/// planned operator and the preconditioner are built once and only the
+/// `Δt`/well-dependent diagonal shift is swapped when the schedule changes
+/// it.
+///
+/// Each time step records a `step` span under `span`, with the step's
+/// build, Krylov and preconditioner spans beneath it (see [`crate::trace`])
+/// and the mass-ledger/residual bookkeeping in an `accounting` child.
+/// Tracing never perturbs the numerics: traced and untraced trajectories
+/// are bitwise identical.
+///
+/// `observer`, when attached, sees the concatenated
+/// [`SolveEvent`](crate::monitor::SolveEvent) stream of every per-step
+/// Krylov session — each step re-emits `Started` with its own initial
+/// residual, then its iterations — exactly as the per-step histories record
+/// them (bitwise).  It observes and controls: a
+/// [`Flow::Stop`](crate::monitor::Flow::Stop) it returns ends the current
+/// step (and thereby the run) at the next iteration boundary, exactly like a
+/// policy stop.  This is the serving path: a daemon streams the events over
+/// a socket while the shared `policy` keeps its one deadline across steps.
 ///
 /// A stopped step truncates the run: the partial step is kept and the
 /// report's `stopped` is set.  Invalid specs (bad dt policy, wells outside
@@ -595,58 +357,28 @@ pub fn run_transient(
     spec: &TransientSpec,
     config: &SolveConfig,
     policy: &StopPolicy,
+    span: &Span,
+    observer: Option<&mut dyn SolveMonitor>,
 ) -> Result<TransientReport, SolveError> {
-    run_transient_traced(backend, workload, spec, config, policy, &Span::null())
+    match backend.step_precision() {
+        Precision::F64 => {
+            run_transient_at::<f64>(backend, workload, spec, config, policy, span, observer)
+        }
+        Precision::F32 => {
+            run_transient_at::<f32>(backend, workload, spec, config, policy, span, observer)
+        }
+    }
 }
 
-/// [`run_transient`] with phase spans: each time step records a `step`
-/// span under `span`, with the inner CG loop traced beneath it (see
-/// [`crate::trace`]) and the mass-ledger/residual bookkeeping in an
-/// `accounting` child.  On a null span this is exactly [`run_transient`];
-/// tracing never perturbs the numerics either way (the traced and
-/// untraced trajectories are bitwise identical).
-pub fn run_transient_traced(
+/// [`run_transient`] with every step on one `T`-precision [`SolveContext`].
+fn run_transient_at<T: Scalar>(
     backend: &dyn SolveBackend,
     workload: &Workload,
     spec: &TransientSpec,
     config: &SolveConfig,
     policy: &StopPolicy,
     span: &Span,
-) -> Result<TransientReport, SolveError> {
-    run_transient_inner(backend, workload, spec, config, policy, span, None)
-}
-
-/// [`run_transient_traced`] with a live observer: `monitor` sees the
-/// concatenated [`crate::monitor::SolveEvent`] stream of every per-step CG
-/// session — each
-/// step re-emits `Started` with its own initial residual, then its
-/// iterations — exactly as the per-step histories record them (bitwise).
-/// The external monitor *observes and controls*: a
-/// [`crate::monitor::Flow::Stop`] it
-/// returns ends the current step (and thereby the run) at the next
-/// iteration boundary, exactly like a policy stop.  This is the serving
-/// path: a daemon streams the events over a socket while the shared
-/// `policy` keeps its one wall-clock deadline across steps.
-pub fn run_transient_monitored(
-    backend: &dyn SolveBackend,
-    workload: &Workload,
-    spec: &TransientSpec,
-    config: &SolveConfig,
-    policy: &StopPolicy,
-    span: &Span,
-    monitor: &mut dyn SolveMonitor,
-) -> Result<TransientReport, SolveError> {
-    run_transient_inner(backend, workload, spec, config, policy, span, Some(monitor))
-}
-
-fn run_transient_inner(
-    backend: &dyn SolveBackend,
-    workload: &Workload,
-    spec: &TransientSpec,
-    config: &SolveConfig,
-    policy: &StopPolicy,
-    span: &Span,
-    mut external: Option<&mut dyn SolveMonitor>,
+    mut observer: Option<&mut dyn SolveMonitor>,
 ) -> Result<TransientReport, SolveError> {
     let name = backend.name();
     let dims = workload.dims();
@@ -707,10 +439,9 @@ fn run_transient_inner(
         .collect();
     let mut run_stopped = None;
 
-    // One stepping session for the whole run: the backend's kernel state
-    // (planned operator, converted coefficients) is built once, not per
-    // step.
-    let mut stepper = backend.transient_session(workload, config)?;
+    // One context for the whole run: the operator and preconditioner are
+    // built on the first step, and later steps swap only the shift.
+    let mut ctx = SolveContext::<T>::new();
     for (index, (time, dt)) in spec.schedule().into_iter().enumerate() {
         let request = StepRequest {
             workload,
@@ -724,17 +455,12 @@ fn run_transient_inner(
         let step_started = Stopwatch::start();
         // One monitor per step: the armed policy session (when any rule is
         // configured) composed with the external observer (when one is
-        // attached), traced under the step span.
+        // attached); the step traces it under the step span.
         let mut session =
             (!policy.is_empty()).then(|| policy.consume_deadline(started.elapsed()).session());
-        let outcome =
-            with_composed_monitor(session.as_mut(), external.as_deref_mut(), |monitor| {
-                stepper.step(
-                    &request,
-                    config,
-                    &mut TraceMonitor::new(&step_span, monitor),
-                )
-            })?;
+        let outcome = with_composed_monitor(session.as_mut(), observer.as_deref_mut(), |monitor| {
+            ctx.step(&request, config, monitor, &step_span)
+        });
         let step_wall = step_started.elapsed_seconds();
         let accounting = step_span.child("accounting");
 
@@ -837,7 +563,8 @@ fn run_transient_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::HostBackend;
+    use crate::backend::{HostBackend, PreconditionerKind};
+    use crate::monitor::NullMonitor;
     use mffv_mesh::workload::{BoundarySpec, WorkloadSpec};
     use mffv_mesh::{CellIndex, Dims, WellSet};
 
@@ -875,6 +602,8 @@ mod tests {
             &spec,
             &config,
             &StopPolicy::new(),
+            &Span::null(),
+            None,
         )
         .unwrap();
         assert_eq!(report.num_steps(), 5);
@@ -921,6 +650,8 @@ mod tests {
             &spec,
             &config,
             &StopPolicy::new(),
+            &Span::null(),
+            None,
         )
         .unwrap();
         assert!(report.all_converged());
@@ -958,6 +689,8 @@ mod tests {
             &spec,
             &config,
             &StopPolicy::new(),
+            &Span::null(),
+            None,
         )
         .unwrap();
         assert_eq!(report.snapshots.len(), 2);
@@ -988,6 +721,8 @@ mod tests {
             &spec,
             &SolveConfig::default(),
             &StopPolicy::new(),
+            &Span::null(),
+            None,
         )
         .unwrap_err();
         assert!(err.detail().contains("Dirichlet"), "{}", err.detail());
@@ -1013,6 +748,8 @@ mod tests {
             &spec,
             &config,
             &StopPolicy::new(),
+            &Span::null(),
+            None,
         )
         .unwrap();
         let merged = report.merged_history();
@@ -1043,8 +780,16 @@ mod tests {
             ..SolveConfig::default()
         };
         let policy = StopPolicy::new().iteration_budget(2);
-        let report =
-            run_transient(&HostBackend::oracle(), &workload, &spec, &config, &policy).unwrap();
+        let report = run_transient(
+            &HostBackend::oracle(),
+            &workload,
+            &spec,
+            &config,
+            &policy,
+            &Span::null(),
+            None,
+        )
+        .unwrap();
         assert_eq!(report.stopped, Some(StopReason::IterationBudget));
         assert_eq!(report.num_steps(), 1);
         assert_eq!(report.steps[0].report.iterations(), 2);
@@ -1077,6 +822,8 @@ mod tests {
             &spec,
             &config,
             &StopPolicy::new(),
+            &Span::null(),
+            None,
         )
         .unwrap();
         let requested: Vec<f64> = report.snapshots.iter().map(|s| s.requested_time).collect();
@@ -1091,52 +838,71 @@ mod tests {
     }
 
     #[test]
-    fn planned_stepper_session_matches_the_one_shot_step_bitwise() {
-        use crate::backend::SolveBackend;
-        let workload = closed_workload(Dims::new(6, 5, 4));
-        let spec = TransientSpec::new(2.0, 0.5, 1e-3)
+    fn a_reused_context_steps_bitwise_like_a_fresh_context_per_step() {
+        // Ramp dt plus a BHP well that switches on mid-run: Δt and W change
+        // the shift on most steps and repeat it on the late fixed-size
+        // ones, so the reused context exercises the swap and the hit paths.
+        let workload = WorkloadSpec {
+            name: "ramp".into(),
+            boundary: BoundarySpec::XFaces {
+                left_pressure: 10.0,
+                right_pressure: 8.0,
+            },
+            dims: Dims::new(20, 16, 14),
+            ..WorkloadSpec::quickstart()
+        }
+        .build();
+        let spec = TransientSpec::new(6.0, 0.1, 1e-3)
+            .with_dt_policy(mffv_mesh::DtPolicy::ramp(0.1, 1.5, 1.0))
             .with_wells(
                 WellSet::empty()
-                    .with(mffv_mesh::Well::rate("inj", CellIndex::new(0, 0, 0), 1.0))
-                    .with(mffv_mesh::Well::bhp(
-                        "prod",
-                        CellIndex::new(5, 4, 3),
-                        5.0,
-                        0.25,
-                    )),
-            )
-            .with_initial_pressure(10.0);
-        let config = SolveConfig {
-            tolerance: Some(1e-20),
-            ..SolveConfig::default()
-        };
-        let backend = HostBackend::oracle();
-        let mut session = backend.transient_session(&workload, &config).unwrap();
-        let mut pressure: CellField<f64> = CellField::constant(workload.dims(), 10.0);
-        workload.dirichlet().impose(&mut pressure);
-        let mut warm: Option<CellField<f64>> = None;
-        for (time, dt) in spec.schedule() {
-            let request = StepRequest {
-                workload: &workload,
-                spec: &spec,
-                pressure: &pressure,
-                warm_delta: warm.as_ref(),
-                time,
-                dt,
+                    .with(mffv_mesh::Well::rate("inj", CellIndex::new(8, 8, 6), 1.5))
+                    .with(
+                        mffv_mesh::Well::bhp("prod", CellIndex::new(15, 5, 3), 6.0, 0.8)
+                            .scheduled(2.0, 10.0),
+                    ),
+            );
+        let bits =
+            |f: &CellField<f64>| -> Vec<u64> { f.as_slice().iter().map(|v| v.to_bits()).collect() };
+        for kind in PreconditionerKind::ALL {
+            let config = SolveConfig {
+                tolerance: Some(1e-18),
+                preconditioner: kind,
+                ..SolveConfig::default()
             };
-            let cached = session
-                .step(&request, &config, &mut crate::monitor::NullMonitor)
-                .unwrap();
-            let one_shot = backend
-                .step(&request, &config, &mut crate::monitor::NullMonitor)
-                .unwrap();
-            let bits = |f: &CellField<f64>| -> Vec<u64> {
-                f.as_slice().iter().map(|v| v.to_bits()).collect()
-            };
-            assert_eq!(bits(&cached.pressure), bits(&one_shot.pressure));
-            assert_eq!(cached.history, one_shot.history);
-            pressure = cached.pressure;
-            warm = Some(cached.delta);
+            let mut reused = SolveContext::<f64>::new();
+            let mut pressure: CellField<f64> = CellField::constant(workload.dims(), 9.0);
+            workload.dirichlet().impose(&mut pressure);
+            let mut warm: Option<CellField<f64>> = None;
+            for (index, (time, dt)) in spec.schedule().into_iter().enumerate() {
+                let request = StepRequest {
+                    workload: &workload,
+                    spec: &spec,
+                    pressure: &pressure,
+                    warm_delta: warm.as_ref(),
+                    time,
+                    dt,
+                };
+                let cached = reused.step(&request, &config, &mut NullMonitor, &Span::null());
+                let fresh = SolveContext::<f64>::new().step(
+                    &request,
+                    &config,
+                    &mut NullMonitor,
+                    &Span::null(),
+                );
+                assert!(cached.history.converged, "{kind:?} step {index}");
+                assert_eq!(
+                    bits(&cached.pressure),
+                    bits(&fresh.pressure),
+                    "{kind:?} step {index}: pressure"
+                );
+                assert_eq!(cached.history, fresh.history, "{kind:?} step {index}");
+                pressure = cached.pressure;
+                warm = Some(cached.delta);
+            }
+            // Steps 7 and 8 repeat step 6's shift; every other step swaps.
+            let stats = reused.stats();
+            assert_eq!((stats.hits, stats.misses), (2, 8), "{kind:?}");
         }
     }
 }

@@ -33,7 +33,7 @@ use mffv_engine::{BatchReport, Engine, JobSpec};
 use mffv_mesh::{TransientSpec, Workload, WorkloadSpec};
 use mffv_solver::backend::{Precision, PreconditionerKind, SolveConfig, SolveError, SolveRequest};
 use mffv_solver::monitor::{with_composed_monitor, CancelToken, SolveMonitor, StopPolicy};
-use mffv_solver::transient::{run_transient_traced, TransientReport};
+use mffv_solver::transient::{run_transient, TransientReport};
 use mffv_telemetry::{Span, Tracer};
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -218,13 +218,14 @@ impl Simulation {
         spec: &TransientSpec,
     ) -> Result<TransientReport, SolveError> {
         let span = self.root_span("transient", backend);
-        run_transient_traced(
+        run_transient(
             backend.instantiate().as_ref(),
             &self.workload,
             spec,
             &self.config,
             &self.policy,
             &span,
+            None,
         )
     }
 

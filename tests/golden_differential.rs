@@ -82,6 +82,64 @@ fn device_transient_trajectory_matches_the_pinned_fixture() {
     golden_record("transient_gpu_ref", &report).check();
 }
 
+/// A ramp-dt scenario whose BHP producer switches on mid-run, so both Δt and
+/// the well productivity change the step diagonal between steps (and the
+/// late fixed-size steps repeat it).  The grid is large enough for a
+/// two-level multigrid hierarchy.
+fn ramp_scenario() -> (Workload, TransientSpec) {
+    let workload = WorkloadSpec {
+        name: "golden-ramp".into(),
+        boundary: BoundarySpec::XFaces {
+            left_pressure: 10.0,
+            right_pressure: 8.0,
+        },
+        dims: Dims::new(24, 16, 12),
+        ..WorkloadSpec::quickstart()
+    }
+    .build();
+    let spec = TransientSpec::new(6.0, 0.1, 1e-3)
+        .with_dt_policy(DtPolicy::ramp(0.1, 1.5, 1.0))
+        .with_wells(
+            WellSet::empty()
+                .with(Well::rate("inj", CellIndex::new(8, 8, 6), 1.5))
+                .with(Well::bhp("prod", CellIndex::new(17, 5, 3), 6.0, 0.8).scheduled(2.0, 10.0)),
+        )
+        .with_initial_pressure(9.0);
+    (workload, spec)
+}
+
+#[test]
+fn preconditioned_transient_trajectories_match_the_pinned_fixtures() {
+    let (workload, spec) = ramp_scenario();
+    for (name, precision, kind) in [
+        (
+            "transient_host_f64_jacobi",
+            Precision::F64,
+            PreconditionerKind::Jacobi,
+        ),
+        (
+            "transient_host_f64_mg",
+            Precision::F64,
+            PreconditionerKind::Mg,
+        ),
+        (
+            "transient_host_f32_jacobi",
+            Precision::F32,
+            PreconditionerKind::Jacobi,
+        ),
+    ] {
+        let report = Simulation::new(workload.clone())
+            .tolerance(1e-18)
+            .precision(precision)
+            .preconditioner(kind)
+            .transient(&spec)
+            .unwrap();
+        assert_eq!(report.num_steps(), 10, "{name}");
+        assert!(report.all_converged(), "{name}");
+        golden_record(name, &report).check();
+    }
+}
+
 #[test]
 fn cross_backend_transient_trajectories_agree_within_tolerance() {
     let (workload, spec) = scenario();

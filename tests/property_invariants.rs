@@ -316,6 +316,8 @@ proptest! {
                 &spec,
                 &mffv_solver::backend::SolveConfig::default(),
                 &StopPolicy::new(),
+                &Span::null(),
+                None,
             ).unwrap();
             prop_assert!(report.all_converged(), "dt = {dt} did not converge");
             Ok(report.steps[0].report.iterations())

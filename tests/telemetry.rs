@@ -161,17 +161,29 @@ fn transient_runs_emit_one_step_span_per_executed_step() {
     let spec = TransientSpec::new(1.0, 0.25, 1e-3)
         .with_wells(WellSet::empty().with(Well::rate("inj", CellIndex::new(2, 2, 1), 1.0)))
         .with_initial_pressure(1.0);
-    let tracer = Tracer::new();
-    let report = Simulation::new(workload)
-        .tracer(tracer.clone())
-        .transient(&spec)
-        .unwrap();
-    assert_eq!(report.num_steps(), 4);
-    let tree = tracer.phase_tree();
-    let root = tree.find("transient @ host-f64").expect("transient root");
-    let step = root.find("step").expect("step spans");
-    assert_eq!(step.count, 4, "one step span per executed step");
-    assert!(step.find("cg-loop").is_some(), "CG spans nest under steps");
+    for kind in [PreconditionerKind::None, PreconditionerKind::Mg] {
+        let tracer = Tracer::new();
+        let report = Simulation::new(workload.clone())
+            .preconditioner(kind)
+            .tracer(tracer.clone())
+            .transient(&spec)
+            .unwrap();
+        assert_eq!(report.num_steps(), 4);
+        let tree = tracer.phase_tree();
+        let root = tree.find("transient @ host-f64").expect("transient root");
+        let step = root.find("step").expect("step spans");
+        assert_eq!(step.count, 4, "{kind:?}: one step span per executed step");
+        assert!(
+            step.find("cg-loop").is_some(),
+            "{kind:?}: CG spans nest under steps"
+        );
+        if kind == PreconditionerKind::Mg {
+            assert!(
+                step.find("mg.vcycle").is_some(),
+                "V-cycle spans nest under steps"
+            );
+        }
+    }
 }
 
 #[test]
