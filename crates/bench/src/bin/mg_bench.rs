@@ -126,74 +126,43 @@ fn bench_precision<T: Scalar>(
     let operator = MatrixFreeOperator::<T>::from_workload(workload).with_threads(threads);
 
     let cg = ConjugateGradient::with_tolerance(tolerance, max_iterations);
-    let base = solve_pressure_with::<T, _>(workload, &operator, &cg);
-    let cg_seconds = time_best_of(reps, || {
-        std::hint::black_box(solve_pressure_with::<T, _>(workload, &operator, &cg));
-    });
-    rows.push(Row {
-        method: "cg",
-        precision,
-        n,
-        cells,
-        iterations: base.history.iterations,
-        converged: base.history.converged,
-        seconds: cg_seconds,
-        speedup_vs_cg: 1.0,
-    });
-
-    let pcg = PreconditionedConjugateGradient::with_tolerance(tolerance, max_iterations);
+    let solve = |pc: Option<&dyn Preconditioner<T>>| {
+        solve_pressure_with::<T, _>(
+            workload,
+            &operator,
+            pc,
+            &cg,
+            &mut NullMonitor,
+            &Span::null(),
+        )
+    };
     let coeffs = workload.transmissibility().convert::<T>();
     let jacobi = JacobiPreconditioner::from_coefficients(&coeffs, workload.dirichlet());
-    let solve_jacobi = || {
-        solve_pressure_preconditioned::<T, _, _>(
-            workload,
-            &operator,
-            &jacobi,
-            &pcg,
-            &mut NullMonitor,
-            &Span::null(),
-        )
-    };
-    let jac = solve_jacobi();
-    let jac_seconds = time_best_of(reps, || {
-        std::hint::black_box(solve_jacobi());
-    });
-    rows.push(Row {
-        method: "jacobi-pcg",
-        precision,
-        n,
-        cells,
-        iterations: jac.history.iterations,
-        converged: jac.history.converged,
-        seconds: jac_seconds,
-        speedup_vs_cg: cg_seconds / jac_seconds,
-    });
-
     let mg = MultigridVcycle::<T>::from_workload(workload, threads, mg_config);
-    let solve_mg = || {
-        solve_pressure_preconditioned::<T, _, _>(
-            workload,
-            &operator,
-            &mg,
-            &pcg,
-            &mut NullMonitor,
-            &Span::null(),
-        )
-    };
-    let mgs = solve_mg();
-    let mg_seconds = time_best_of(reps, || {
-        std::hint::black_box(solve_mg());
-    });
-    rows.push(Row {
-        method: "mg-pcg",
-        precision,
-        n,
-        cells,
-        iterations: mgs.history.iterations,
-        converged: mgs.history.converged,
-        seconds: mg_seconds,
-        speedup_vs_cg: cg_seconds / mg_seconds,
-    });
+    let mut cg_seconds = 0.0;
+    for (method, pc) in [
+        ("cg", None),
+        ("jacobi-pcg", Some(&jacobi as &dyn Preconditioner<T>)),
+        ("mg-pcg", Some(&mg as &dyn Preconditioner<T>)),
+    ] {
+        let solution = solve(pc);
+        let seconds = time_best_of(reps, || {
+            std::hint::black_box(solve(pc));
+        });
+        if pc.is_none() {
+            cg_seconds = seconds;
+        }
+        rows.push(Row {
+            method,
+            precision,
+            n,
+            cells,
+            iterations: solution.history.iterations,
+            converged: solution.history.converged,
+            seconds,
+            speedup_vs_cg: cg_seconds / seconds,
+        });
+    }
 }
 
 fn main() {

@@ -45,7 +45,10 @@ fn main() {
         let assembled = solve_pressure_with::<f64, _>(
             workload,
             &AssembledOperator::<f64>::from_workload(workload),
+            None,
             &solver,
+            &mut NullMonitor,
+            &Span::null(),
         );
         let scale = oracle.max_abs().max(f64::MIN_POSITIVE);
         println!(

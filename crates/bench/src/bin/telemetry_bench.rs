@@ -4,17 +4,21 @@
 //! (see README "Telemetry & tracing"):
 //!
 //! * **null path** — a solve request carrying an explicit null span must
-//!   stay within noise of a plain request (<1%; the CI smoke step warns
-//!   above 1% and fails above 5% with `--check`).  Both take the one solve
-//!   entry point, whose monitor is always wrapped in a null-parent
-//!   `TraceMonitor`, so this figure tracks run-to-run noise;
+//!   stay within noise of a plain request (<1%; the bench warns above 1%
+//!   and `--check` fails above 5%, both on the median overhead).  Both take
+//!   the one solve entry point, whose monitor is always wrapped in a
+//!   null-parent `TraceMonitor`, so this figure tracks run-to-run noise;
 //! * **full tracing** — a recording tracer (spans + per-chunk CG iteration
 //!   marks) must cost <5% on a 64³ host solve and on an engine batch.
 //!
-//! The two batch variants run alternately, every rep is timed, and the JSON
-//! records median/min/max and the spread `(max − min) / median` of both
-//! next to best-of: a batch overhead figure means something only when the
-//! untraced spread sits below the 5% budget (the bench warns otherwise).
+//! The three solve variants (untraced, null span, traced) take turns within
+//! each rep, as do the two batch variants (untraced, traced); every rep is
+//! timed, and the JSON records median/min/max and the spread
+//! `(max − min) / median` of each variant.  Both solve overheads compare
+//! medians against the one untraced solve series (the `*_median_seconds`
+//! keys); the batch's `*_seconds` keys are best-of.  An overhead figure
+//! means something only when the untraced spread sits below the 5% budget
+//! (the bench warns otherwise).
 //! The default `--jobs` makes one batch rep a few hundred milliseconds, so
 //! pool start-up is not what spreads it; on a shared 2-core VM, tenant
 //! noise still spread it 7–18%.
@@ -88,28 +92,27 @@ fn overhead_pct(base: f64, variant: f64) -> f64 {
     }
 }
 
-/// Wall seconds of each of `reps` runs of `a` and of `b`, after one untimed
-/// warmup each.  The runs alternate, and so does which of the pair goes
-/// first, so drift in the machine's load lands on both variants alike.
-fn time_alternating(reps: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (Vec<f64>, Vec<f64>) {
-    fn time(f: &mut dyn FnMut()) -> f64 {
-        let watch = Stopwatch::start();
+/// Wall seconds of each of `reps` runs of every variant, after one untimed
+/// warmup each.  The variants take turns within a rep, and the one that goes
+/// first rotates from rep to rep, so drift in the machine's load lands on
+/// all of them alike.
+fn time_alternating<const N: usize>(
+    reps: usize,
+    mut variants: [&mut dyn FnMut(); N],
+) -> [Vec<f64>; N] {
+    for f in variants.iter_mut() {
         f();
-        watch.elapsed_seconds()
     }
-    a();
-    b();
-    let (mut times_a, mut times_b) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    let mut times: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(reps));
     for rep in 0..reps {
-        if rep % 2 == 0 {
-            times_a.push(time(&mut a));
-            times_b.push(time(&mut b));
-        } else {
-            times_b.push(time(&mut b));
-            times_a.push(time(&mut a));
+        for turn in 0..N {
+            let i = (rep + turn) % N;
+            let watch = Stopwatch::start();
+            variants[i]();
+            times[i].push(watch.elapsed_seconds());
         }
     }
-    (times_a, times_b)
+    times
 }
 
 /// Best-of (= min), median and max of a set of rep times, plus the spread
@@ -174,7 +177,7 @@ fn main() {
     };
     let backend = Backend::host().instantiate();
     println!(
-        "telemetry bench: {dims} host solve ({} cells, <=200 iters), {} jobs on {} workers, best of {}",
+        "telemetry bench: {dims} host solve ({} cells, <=200 iters), {} jobs on {} workers, {} alternating reps",
         dims.num_cells(),
         args.jobs,
         args.workers,
@@ -182,24 +185,30 @@ fn main() {
     );
 
     // --- solve: untraced / null span / recording tracer ---------------------
-    let solve_untraced = time_best_of(args.reps, || {
+    // The untraced and null-span requests take the identical code path, so
+    // the null figure is pure noise unless the reps interleave: the three
+    // variants take turns, and both overheads compare medians against the
+    // one untraced series.
+    let mut untraced = || {
         backend
             .solve(SolveRequest::new(&workload, &config))
             .expect("solve");
-    });
-    let solve_null = time_best_of(args.reps, || {
+    };
+    let mut null = || {
         backend
             .solve(SolveRequest::new(&workload, &config).with_span(&Span::null()))
             .expect("solve");
-    });
-    let solve_traced = time_best_of(args.reps, || {
+    };
+    let mut traced = || {
         let tracer = Tracer::new();
         let span = tracer.span("solve @ host-f64");
         backend
             .solve(SolveRequest::new(&workload, &config).with_span(&span))
             .expect("solve");
         span.finish();
-    });
+    };
+    let [solve_untraced, solve_null, solve_traced] =
+        time_alternating(args.reps, [&mut untraced, &mut null, &mut traced]).map(RepStats::of);
     let trace_spans = {
         let tracer = Tracer::new();
         let span = tracer.span("solve @ host-f64");
@@ -209,34 +218,34 @@ fn main() {
         span.finish();
         tracer.records().len()
     };
-    let solve_null_pct = overhead_pct(solve_untraced, solve_null);
-    let solve_full_pct = overhead_pct(solve_untraced, solve_traced);
+    let solve_null_pct = overhead_pct(solve_untraced.median, solve_null.median);
+    let solve_full_pct = overhead_pct(solve_untraced.median, solve_traced.median);
     println!(
-        "  solve: untraced {:.3} ms | null {:.3} ms ({:+.2}%) | traced {:.3} ms ({:+.2}%, {} spans)",
-        solve_untraced * 1e3,
-        solve_null * 1e3,
+        "  solve (medians): untraced {:.3} ms (spread {:.2}%) | null {:.3} ms ({:+.2}%) | \
+         traced {:.3} ms ({:+.2}%, {} spans)",
+        solve_untraced.median * 1e3,
+        solve_untraced.spread_pct(),
+        solve_null.median * 1e3,
         solve_null_pct,
-        solve_traced * 1e3,
+        solve_traced.median * 1e3,
         solve_full_pct,
         trace_spans
     );
 
     // --- engine batch: untraced / traced ------------------------------------
     let jobs = sweep_jobs(args.jobs);
-    let (untraced, traced) = time_alternating(
-        args.reps,
-        || {
-            let report = Engine::new(args.workers).run(jobs.clone());
-            assert!(report.all_succeeded());
-        },
-        || {
-            let report = Engine::new(args.workers)
-                .with_tracer(Tracer::new())
-                .run(jobs.clone());
-            assert!(report.all_succeeded());
-        },
-    );
-    let (batch_untraced, batch_traced) = (RepStats::of(untraced), RepStats::of(traced));
+    let mut untraced = || {
+        let report = Engine::new(args.workers).run(jobs.clone());
+        assert!(report.all_succeeded());
+    };
+    let mut traced = || {
+        let report = Engine::new(args.workers)
+            .with_tracer(Tracer::new())
+            .run(jobs.clone());
+        assert!(report.all_succeeded());
+    };
+    let [batch_untraced, batch_traced] =
+        time_alternating(args.reps, [&mut untraced, &mut traced]).map(RepStats::of);
     let batch_pct = overhead_pct(batch_untraced.min, batch_traced.min);
     let batch_median_pct = overhead_pct(batch_untraced.median, batch_traced.median);
     println!(
@@ -255,9 +264,10 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"telemetry\",\n  \"dims\": {{\"nx\": {}, \"ny\": {}, \"nz\": {}}},\n  \
          \"cells\": {},\n  \"reps\": {},\n  \"budgets_pct\": {{\"null_warn\": 1.0, \"null_fail\": 5.0, \"full\": 5.0}},\n  \
-         \"solve\": {{\"untraced_seconds\": {:.6e}, \"null_traced_seconds\": {:.6e}, \
-         \"full_traced_seconds\": {:.6e}, \"null_overhead_pct\": {:.3}, \
-         \"full_overhead_pct\": {:.3}, \"spans_recorded\": {}}},\n  \
+         \"solve\": {{\"untraced_median_seconds\": {:.6e}, \
+         \"null_traced_median_seconds\": {:.6e}, \"full_traced_median_seconds\": {:.6e}, \"null_overhead_pct\": {:.3}, \
+         \"full_overhead_pct\": {:.3}, \"spans_recorded\": {},\n    \"untraced_reps\": {},\n    \
+         \"null_reps\": {},\n    \"traced_reps\": {}}},\n  \
          \"engine\": {{\"jobs\": {}, \"workers\": {}, \"untraced_seconds\": {:.6e}, \
          \"traced_seconds\": {:.6e}, \"traced_overhead_pct\": {:.3}, \
          \"traced_overhead_median_pct\": {:.3},\n    \"untraced_reps\": {},\n    \
@@ -267,12 +277,15 @@ fn main() {
         args.nz,
         dims.num_cells(),
         args.reps,
-        solve_untraced,
-        solve_null,
-        solve_traced,
+        solve_untraced.median,
+        solve_null.median,
+        solve_traced.median,
         solve_null_pct,
         solve_full_pct,
         trace_spans,
+        solve_untraced.json(),
+        solve_null.json(),
+        solve_traced.json(),
         args.jobs,
         args.workers,
         batch_untraced.min,
@@ -290,6 +303,13 @@ fn main() {
             "WARN: untraced batch spread {:.2}% exceeds the 5% budget; the batch overhead \
              figure is within noise (raise --jobs or --reps)",
             batch_untraced.spread_pct()
+        );
+    }
+    if solve_untraced.spread_pct() > 5.0 {
+        println!(
+            "WARN: untraced solve spread {:.2}% exceeds the 5% budget; the null-span \
+             figure is within noise (raise --reps)",
+            solve_untraced.spread_pct()
         );
     }
     if solve_null_pct > 1.0 {

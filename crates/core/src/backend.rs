@@ -156,7 +156,7 @@ impl SolveBackend for DataflowBackend {
         build.finish();
         let spec = *solver.spec();
         let report = solver
-            .solve_monitored(&mut TraceMonitor::new(span, monitor))
+            .solve(&mut TraceMonitor::new(span, monitor))
             .map_err(|e| SolveError::new(self.name(), e.to_string()))?;
         Ok(self.unify(spec, report))
     }

@@ -26,7 +26,7 @@ use mffv_fv::residual::{newton_rhs, residual};
 use mffv_mesh::{CellField, Dims, Workload};
 use mffv_solver::backend::PreconditionerKind;
 use mffv_solver::convergence::{ConvergenceHistory, StoppingCriterion};
-use mffv_solver::monitor::{Flow, NullMonitor, SolveEvent, SolveMonitor, StopReason};
+use mffv_solver::monitor::{Flow, SolveEvent, SolveMonitor, StopReason};
 use mffv_solver::{MgConfig, MultigridVcycle, Preconditioner};
 use std::time::Instant;
 
@@ -137,19 +137,9 @@ impl<'w> DataflowFvSolver<'w> {
         }
     }
 
-    /// Create a solver with the paper's default options.
-    pub fn with_defaults(workload: &'w Workload) -> Self {
-        Self::new(workload, SolverOptions::paper())
-    }
-
     /// The machine spec used for device-time modelling.
     pub fn spec(&self) -> &WseSpec {
         &self.spec
-    }
-
-    /// Run the solve.
-    pub fn solve(&self) -> Result<DataflowSolveReport> {
-        self.solve_monitored(&mut NullMonitor)
     }
 
     /// Run the solve as an observable, cancellable session.
@@ -160,7 +150,7 @@ impl<'w> DataflowFvSolver<'w> {
     /// recorded in the returned [`ConvergenceHistory`].  A [`Flow::Stop`]
     /// exits the state machine at that boundary; the partial solution columns
     /// are still extracted from the PEs and reported.
-    pub fn solve_monitored(&self, monitor: &mut dyn SolveMonitor) -> Result<DataflowSolveReport> {
+    pub fn solve(&self, monitor: &mut dyn SolveMonitor) -> Result<DataflowSolveReport> {
         // audit: allow(wall-clock) — telemetry: feeds the report's elapsed
         // seconds, never a numeric decision.
         #[allow(clippy::disallowed_methods)]

@@ -103,7 +103,7 @@ impl SolveBackend for GpuRefBackend {
             .with_max_iterations(config.effective_max_iterations(workload))
             .with_preconditioner(config.preconditioner);
         build.finish();
-        let report = solver.solve_traced(&mut TraceMonitor::new(span, monitor), span);
+        let report = solver.solve(&mut TraceMonitor::new(span, monitor), span);
         Ok(self.unify(workload, report))
     }
 }

@@ -13,11 +13,11 @@ use mffv_mesh::{CellField, Workload};
 use mffv_solver::backend::PreconditionerKind;
 use mffv_solver::cg::ConjugateGradient;
 use mffv_solver::convergence::ConvergenceHistory;
-use mffv_solver::monitor::{NullMonitor, SolveMonitor, StopReason};
-use mffv_solver::newton::{solve_pressure_monitored, solve_pressure_preconditioned};
-use mffv_solver::pcg::{JacobiPreconditioner, PreconditionedConjugateGradient};
+use mffv_solver::monitor::{SolveMonitor, StopReason};
+use mffv_solver::newton::solve_pressure_with;
+use mffv_solver::pcg::JacobiPreconditioner;
 use mffv_solver::trace::Span;
-use mffv_solver::{MgConfig, MultigridVcycle};
+use mffv_solver::{MgConfig, MultigridVcycle, Preconditioner};
 
 /// Result of a reference solve.
 #[derive(Clone, Debug)]
@@ -84,24 +84,14 @@ impl<'w> GpuReferenceSolver<'w> {
         self
     }
 
-    /// Run the reference solve.
-    pub fn solve(&self) -> GpuSolveReport {
-        self.solve_monitored(&mut NullMonitor)
-    }
-
     /// Run the reference solve as an observable, cancellable session: the
     /// host-resident CG loop (§IV keeps the loop on the host, one kernel
     /// launch per operator application) reports every iteration boundary to
     /// `monitor`, which may stop the solve early — the partial pressure and
-    /// history are still downloaded and reported.
-    pub fn solve_monitored(&self, monitor: &mut dyn SolveMonitor) -> GpuSolveReport {
-        self.solve_traced(monitor, &Span::null())
-    }
-
-    /// [`Self::solve_monitored`] with telemetry: `span` scopes the
+    /// history are still downloaded and reported.  `span` scopes the
     /// preconditioner's `mg.vcycle` / `mg.level` spans when multigrid is
     /// selected.
-    pub fn solve_traced(&self, monitor: &mut dyn SolveMonitor, span: &Span) -> GpuSolveReport {
+    pub fn solve(&self, monitor: &mut dyn SolveMonitor, span: &Span) -> GpuSolveReport {
         // audit: allow(wall-clock) — telemetry: feeds the report's elapsed
         // seconds, never a numeric decision.
         #[allow(clippy::disallowed_methods)]
@@ -114,56 +104,41 @@ impl<'w> GpuReferenceSolver<'w> {
         transfers.record_host_to_device(2 * self.workload.dims().num_cells() * 4);
 
         let n = self.workload.dims().num_cells();
-        let solution = match self.preconditioner {
-            PreconditionerKind::None => {
-                let solver = ConjugateGradient::with_tolerance(self.tolerance, self.max_iterations);
-                solve_pressure_monitored::<f32, _>(self.workload, &operator, &solver, monitor)
-            }
+        let (jacobi, mg);
+        let preconditioner: Option<&dyn Preconditioner<f32>> = match self.preconditioner {
+            PreconditionerKind::None => None,
             PreconditionerKind::Jacobi => {
                 // The inverse diagonal lives on the device: one extra upload,
                 // then one elementwise kernel per iteration (no per-iteration
                 // transfers).
-                let coeffs = self.workload.transmissibility().convert::<f32>();
-                let jacobi =
-                    JacobiPreconditioner::from_coefficients(&coeffs, self.workload.dirichlet());
                 transfers.record_host_to_device(n * 4);
-                let solver = PreconditionedConjugateGradient::with_tolerance(
-                    self.tolerance,
-                    self.max_iterations,
-                );
-                solve_pressure_preconditioned::<f32, _, _>(
-                    self.workload,
-                    &operator,
-                    &jacobi,
-                    &solver,
-                    monitor,
-                    span,
-                )
+                let coeffs = self.workload.transmissibility().convert::<f32>();
+                jacobi =
+                    JacobiPreconditioner::from_coefficients(&coeffs, self.workload.dirichlet());
+                Some(&jacobi)
             }
             PreconditionerKind::Mg => {
-                // Host-assisted V-cycle: the device downloads the residual and
-                // uploads the correction every iteration.
-                let mg =
-                    MultigridVcycle::<f32>::from_workload(self.workload, 1, MgConfig::default());
-                let solver = PreconditionedConjugateGradient::with_tolerance(
-                    self.tolerance,
-                    self.max_iterations,
-                );
-                let solution = solve_pressure_preconditioned::<f32, _, _>(
-                    self.workload,
-                    &operator,
-                    &mg,
-                    &solver,
-                    monitor,
-                    span,
-                );
-                // One apply per iteration plus the initial z0 = M⁻¹ r0.
-                let applies = solution.history.iterations + 1;
-                transfers.record_device_to_host(applies * n * 4);
-                transfers.record_host_to_device(applies * n * 4);
-                solution
+                mg = MultigridVcycle::<f32>::from_workload(self.workload, 1, MgConfig::default());
+                Some(&mg)
             }
         };
+        let solver = ConjugateGradient::with_tolerance(self.tolerance, self.max_iterations);
+        let solution = solve_pressure_with::<f32, _>(
+            self.workload,
+            &operator,
+            preconditioner,
+            &solver,
+            monitor,
+            span,
+        );
+        if self.preconditioner == PreconditionerKind::Mg {
+            // Host-assisted V-cycle: the device downloads the residual and
+            // uploads the correction for each apply — one per iteration plus
+            // the initial z0 = M⁻¹ r0.
+            let applies = solution.history.iterations + 1;
+            transfers.record_device_to_host(applies * n * 4);
+            transfers.record_host_to_device(applies * n * 4);
+        }
         // Final download of the pressure field.
         transfers.record_device_to_host(self.workload.dims().num_cells() * 4);
 

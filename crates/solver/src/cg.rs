@@ -17,6 +17,14 @@
 //! structure the dataflow implementation reproduces with Algorithm 2 for `A d` and
 //! the whole-fabric all-reduce for the dot products.
 //!
+//! The same loop runs preconditioned CG when given a [`Preconditioner`] `M⁻¹`
+//! (Jacobi, the multigrid V-cycle): `z = M⁻¹ r` replaces `r` in the direction
+//! update and `ρ = rᵀz` replaces `rᵀr` in `α` and `β`, at the cost of one
+//! preconditioner application and one extra dot product per iteration.  The
+//! convergence test always uses the *unpreconditioned* `rᵀr`, so histories
+//! stay comparable across preconditioners.  Without a preconditioner the loop
+//! does no extra work: `ρ` is the `rᵀr` the update kernel already computed.
+//!
 //! The host loop executes those passes through the two **fused kernels** of
 //! [`LinearOperator`]: [`apply_dot`](LinearOperator::apply_dot) computes `A d`
 //! and `dᵀ(A d)` in one sweep, and [`cg_update`](LinearOperator::cg_update)
@@ -37,10 +45,11 @@
 
 use crate::context::CgScratch;
 use crate::convergence::{ConvergenceHistory, StoppingCriterion};
-use crate::monitor::{Flow, NullMonitor, SolveEvent, SolveMonitor, StopReason};
-use mffv_fv::plan::det_norm_squared;
-use mffv_fv::LinearOperator;
+use crate::monitor::{Flow, SolveEvent, SolveMonitor, StopReason};
+use mffv_fv::plan::{det_dot, det_norm_squared};
+use mffv_fv::{LinearOperator, Preconditioner};
 use mffv_mesh::{CellField, Scalar};
+use mffv_telemetry::Span;
 
 /// Result of a CG solve.
 #[derive(Clone, Debug)]
@@ -57,7 +66,8 @@ pub struct SolveOutcome<T: Scalar> {
 /// Conjugate-gradient solver configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ConjugateGradient {
-    /// Stopping criterion (tolerance on `rᵀr` and iteration cap).
+    /// Stopping criterion (tolerance on the unpreconditioned `rᵀr` and
+    /// iteration cap).
     pub criterion: StoppingCriterion,
 }
 
@@ -81,58 +91,66 @@ impl ConjugateGradient {
         }
     }
 
-    /// Solve `A x = b` starting from `x0`.
-    ///
-    /// `A` must be symmetric positive definite over the non-Dirichlet degrees of
-    /// freedom (see `mffv-fv`'s sign convention).  Returns the solution together
-    /// with the convergence history.
+    /// [`solve_into`](Self::solve_into) on freshly allocated scratch,
+    /// returning the solution together with the convergence history.
     pub fn solve<T: Scalar, Op: LinearOperator<T>>(
         &self,
         operator: &Op,
+        preconditioner: Option<&dyn Preconditioner<T>>,
         rhs: &CellField<T>,
-        x0: &CellField<T>,
-    ) -> SolveOutcome<T> {
-        self.solve_monitored(operator, rhs, x0, &mut NullMonitor)
-    }
-
-    /// Solve `A x = b` as an observable, cancellable session.
-    ///
-    /// `monitor` receives a [`SolveEvent`] at every iteration boundary — the
-    /// `rr` payloads are bitwise identical to the entries recorded in the
-    /// returned [`ConvergenceHistory`] — and may end the solve early by
-    /// returning [`Flow::Stop`], in which case the partial solution and
-    /// history are returned with [`SolveOutcome::stopped`] set.  Monitoring
-    /// performs no extra arithmetic: an unstopped monitored solve is bitwise
-    /// identical to [`solve`](Self::solve).
-    pub fn solve_monitored<T: Scalar, Op: LinearOperator<T>>(
-        &self,
-        operator: &Op,
-        rhs: &CellField<T>,
-        x0: &CellField<T>,
+        x0: Option<&CellField<T>>,
         monitor: &mut dyn SolveMonitor,
+        span: &Span,
     ) -> SolveOutcome<T> {
         let mut scratch = CgScratch::new(operator.dims());
-        let stopped = self.solve_into(operator, rhs, Some(x0), monitor, &mut scratch);
-        scratch.into_outcome(stopped)
+        let stopped = self.solve_into(
+            operator,
+            preconditioner,
+            rhs,
+            x0,
+            monitor,
+            span,
+            &mut scratch,
+        );
+        SolveOutcome {
+            solution: scratch.solution,
+            history: scratch.history,
+            stopped,
+        }
     }
 
-    /// [`solve_monitored`](Self::solve_monitored) into a caller-owned
-    /// [`CgScratch`] — the zero-allocation form of the pooled serving path.
+    /// Solve `A x = b` into a caller-owned [`CgScratch`], optionally
+    /// preconditioned by `M⁻¹` — the zero-allocation form of the pooled
+    /// serving path.
     ///
+    /// `A` must be symmetric positive definite over the non-Dirichlet degrees
+    /// of freedom (see `mffv-fv`'s sign convention), and so must `M⁻¹`.
     /// `x0 = None` starts from the zero vector (the Newton-step convention)
     /// without needing a zeros field.  Every scratch buffer is fully
     /// overwritten before it is read, so the recorded history and the
     /// solution left in `scratch` are bitwise identical to a fresh-allocation
-    /// solve.  On a numerical breakdown (non-positive or non-finite
-    /// `dᵀ(A d)`) the solve ends with a terminal
+    /// solve.
+    ///
+    /// `monitor` receives a [`SolveEvent`] at every iteration boundary — the
+    /// `rr` payloads are bitwise identical to the entries recorded in the
+    /// history — and may end the solve early by returning [`Flow::Stop`]; the
+    /// partial solution and history stay in `scratch` and the reason is
+    /// returned.  Every preconditioner application runs under `span`, so
+    /// structured preconditioners (the multigrid V-cycle) emit their
+    /// `mg.vcycle` / `mg.level` spans.  Neither monitoring nor tracing
+    /// touches the arithmetic.  On a numerical breakdown (non-positive or
+    /// non-finite `dᵀ(A d)`) the solve ends with a terminal
     /// [`SolveEvent::Stopped`]`(`[`StopReason::Breakdown`]`)` and returns
     /// that reason.
+    #[allow(clippy::too_many_arguments)]
     pub fn solve_into<T: Scalar, Op: LinearOperator<T>>(
         &self,
         operator: &Op,
+        preconditioner: Option<&dyn Preconditioner<T>>,
         rhs: &CellField<T>,
         x0: Option<&CellField<T>>,
         monitor: &mut dyn SolveMonitor,
+        span: &Span,
         scratch: &mut CgScratch<T>,
     ) -> Option<StopReason> {
         let dims = operator.dims();
@@ -150,18 +168,32 @@ impl ConjugateGradient {
         scratch.residual.copy_from(rhs);
         operator.apply(&scratch.solution, &mut scratch.ad);
         scratch.residual.axpy(-T::ONE, &scratch.ad);
-        // d_0 = r_0
-        scratch.direction.copy_from(&scratch.residual);
+        let rr0 = det_norm_squared(&scratch.residual).to_f64();
+        // d_0 = z_0 = M⁻¹ r_0 and ρ = r_0ᵀ z_0 (z_0 = r_0 without M⁻¹).
+        let mut rho = match preconditioner {
+            None => {
+                scratch.direction.copy_from(&scratch.residual);
+                rr0
+            }
+            Some(pc) => {
+                assert_eq!(pc.dims(), dims, "preconditioner dimension mismatch");
+                pc.apply_traced(&scratch.residual, &mut scratch.z, span);
+                scratch.direction.copy_from(&scratch.z);
+                det_dot(&scratch.residual, &scratch.z).to_f64()
+            }
+        };
 
-        let mut rr = det_norm_squared(&scratch.residual).to_f64();
-        scratch.history.reset_from(rr);
-        if self.criterion.is_converged(rr) {
+        scratch.history.reset_from(rr0);
+        if self.criterion.is_converged(rr0) {
             scratch.history.converged = true;
-            monitor.on_event(&SolveEvent::Started { initial_rr: rr });
-            monitor.on_event(&SolveEvent::Converged { iterations: 0, rr });
+            monitor.on_event(&SolveEvent::Started { initial_rr: rr0 });
+            monitor.on_event(&SolveEvent::Converged {
+                iterations: 0,
+                rr: rr0,
+            });
             return None;
         }
-        if let Flow::Stop(reason) = monitor.on_event(&SolveEvent::Started { initial_rr: rr }) {
+        if let Flow::Stop(reason) = monitor.on_event(&SolveEvent::Started { initial_rr: rr0 }) {
             monitor.on_event(&SolveEvent::Stopped(reason));
             return Some(reason);
         }
@@ -180,9 +212,9 @@ impl ConjugateGradient {
                 stopped = Some(StopReason::Breakdown);
                 break;
             }
-            let alpha = T::from_f64(rr / d_ad);
+            let alpha = T::from_f64(rho / d_ad);
             // Fused kernel 2: x += α d, r −= α (A d), and the new rᵀr.
-            let rr_new = operator
+            let rr = operator
                 .cg_update(
                     alpha,
                     &scratch.direction,
@@ -191,30 +223,37 @@ impl ConjugateGradient {
                     &mut scratch.residual,
                 )
                 .to_f64();
-            scratch.history.record(rr_new);
-            if self.criterion.is_converged(rr_new) {
+            scratch.history.record(rr);
+            if self.criterion.is_converged(rr) {
                 scratch.history.converged = true;
                 monitor.on_event(&SolveEvent::Iteration {
                     k: scratch.history.iterations,
-                    rr: rr_new,
+                    rr,
                 });
                 monitor.on_event(&SolveEvent::Converged {
                     iterations: scratch.history.iterations,
-                    rr: rr_new,
+                    rr,
                 });
                 break;
             }
             if let Flow::Stop(reason) = monitor.on_event(&SolveEvent::Iteration {
                 k: scratch.history.iterations,
-                rr: rr_new,
+                rr,
             }) {
                 monitor.on_event(&SolveEvent::Stopped(reason));
                 stopped = Some(reason);
                 break;
             }
-            let beta = T::from_f64(rr_new / rr);
-            scratch.direction.xpby(&scratch.residual, beta);
-            rr = rr_new;
+            // d = z + β d with z = M⁻¹ r, β = ρ_new / ρ.
+            let (rho_new, z) = match preconditioner {
+                None => (rr, &scratch.residual),
+                Some(pc) => {
+                    pc.apply_traced(&scratch.residual, &mut scratch.z, span);
+                    (det_dot(&scratch.residual, &scratch.z).to_f64(), &scratch.z)
+                }
+            };
+            scratch.direction.xpby(z, T::from_f64(rho_new / rho));
+            rho = rho_new;
         }
         stopped
     }
@@ -223,6 +262,8 @@ impl ConjugateGradient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::NullMonitor;
+    use crate::pcg::JacobiPreconditioner;
     use mffv_fv::csr::AssembledOperator;
     use mffv_fv::matrix_free::MatrixFreeOperator;
     use mffv_fv::operator::ScaledIdentity;
@@ -230,13 +271,21 @@ mod tests {
     use mffv_mesh::workload::WorkloadSpec;
     use mffv_mesh::{Dims, DirichletSet, Transmissibilities};
 
+    /// An unmonitored, untraced, unpreconditioned solve from zero.
+    fn plain<T: Scalar, Op: LinearOperator<T>>(
+        solver: ConjugateGradient,
+        op: &Op,
+        b: &CellField<T>,
+    ) -> SolveOutcome<T> {
+        solver.solve(op, None, b, None, &mut NullMonitor, &Span::null())
+    }
+
     #[test]
     fn identity_system_converges_in_one_iteration() {
         let dims = Dims::new(4, 4, 2);
         let op = ScaledIdentity::new(dims, 2.0f64);
         let b = CellField::from_fn(dims, |c| (c.x + c.y) as f64);
-        let out =
-            ConjugateGradient::with_tolerance(1e-24, 10).solve(&op, &b, &CellField::zeros(dims));
+        let out = plain(ConjugateGradient::with_tolerance(1e-24, 10), &op, &b);
         assert!(out.history.converged);
         assert!(out.history.iterations <= 1);
         for i in 0..b.len() {
@@ -257,8 +306,7 @@ mod tests {
         dirichlet.impose(&mut p0);
         let r = residual(&p0, &coeffs, &dirichlet);
         let b = newton_rhs(&r, &dirichlet);
-        let out =
-            ConjugateGradient::with_tolerance(1e-20, 500).solve(&op, &b, &CellField::zeros(dims));
+        let out = plain(ConjugateGradient::with_tolerance(1e-20, 500), &op, &b);
         assert!(
             out.history.converged,
             "CG did not converge: {:?}",
@@ -284,8 +332,8 @@ mod tests {
         let r = residual(&p0, w.transmissibility(), w.dirichlet());
         let b = newton_rhs(&r, w.dirichlet());
         let solver = ConjugateGradient::with_tolerance(1e-18, 500);
-        let out_mf = solver.solve(&mf, &b, &CellField::zeros(w.dims()));
-        let out_asm = solver.solve(&asm, &b, &CellField::zeros(w.dims()));
+        let out_mf = plain(solver, &mf, &b);
+        let out_asm = plain(solver, &asm, &b);
         assert_eq!(out_mf.history.iterations, out_asm.history.iterations);
         assert!(out_mf.solution.max_abs_diff(&out_asm.solution) < 1e-10);
     }
@@ -297,8 +345,7 @@ mod tests {
         let dirichlet = DirichletSet::source_producer(dims, 1.0, 0.0);
         let op = MatrixFreeOperator::new(coeffs, &dirichlet);
         let b = CellField::constant(dims, 1.0);
-        let out =
-            ConjugateGradient::with_tolerance(1e-30, 3).solve(&op, &b, &CellField::zeros(dims));
+        let out = plain(ConjugateGradient::with_tolerance(1e-30, 3), &op, &b);
         assert!(!out.history.converged);
         assert_eq!(out.history.iterations, 3);
     }
@@ -307,8 +354,7 @@ mod tests {
     fn zero_rhs_converges_immediately() {
         let dims = Dims::new(4, 4, 4);
         let op = ScaledIdentity::new(dims, 1.0f64);
-        let out =
-            ConjugateGradient::paper().solve(&op, &CellField::zeros(dims), &CellField::zeros(dims));
+        let out = plain(ConjugateGradient::paper(), &op, &CellField::zeros(dims));
         assert!(out.history.converged);
         assert_eq!(out.history.iterations, 0);
         assert_eq!(out.solution.max_abs(), 0.0);
@@ -321,11 +367,7 @@ mod tests {
         let p0: CellField<f64> = w.initial_pressure();
         let r = residual(&p0, w.transmissibility(), w.dirichlet());
         let b = newton_rhs(&r, w.dirichlet());
-        let out = ConjugateGradient::with_tolerance(1e-16, 2000).solve(
-            &op,
-            &b,
-            &CellField::zeros(w.dims()),
-        );
+        let out = plain(ConjugateGradient::with_tolerance(1e-16, 2000), &op, &b);
         assert!(out.history.converged);
         assert!(out.history.is_broadly_decreasing(50.0));
     }
@@ -341,9 +383,9 @@ mod tests {
         let solver = ConjugateGradient::with_tolerance(1e-12, 2000);
         let x0 = CellField::zeros(w.dims());
 
-        let plain = solver.solve(&op, &b, &x0);
+        let plain = plain(solver, &op, &b);
         let mut recorder = RecordingMonitor::new();
-        let monitored = solver.solve_monitored(&op, &b, &x0, &mut recorder);
+        let monitored = solver.solve(&op, None, &b, Some(&x0), &mut recorder, &Span::null());
 
         assert_eq!(plain.history, monitored.history);
         assert_eq!(monitored.stopped, None);
@@ -377,7 +419,7 @@ mod tests {
         let b = CellField::constant(w.dims(), 1.0);
         let solver = ConjugateGradient::with_tolerance(1e-20, 2000);
         let mut session = StopPolicy::new().iteration_budget(5).session();
-        let out = solver.solve_monitored(&op, &b, &CellField::zeros(w.dims()), &mut session);
+        let out = solver.solve(&op, None, &b, None, &mut session, &Span::null());
         assert_eq!(out.stopped, Some(StopReason::IterationBudget));
         assert!(!out.history.converged);
         assert_eq!(out.history.iterations, 5);
@@ -389,39 +431,49 @@ mod tests {
         use crate::monitor::{RecordingMonitor, SolveEvent, StopReason};
         // A negative-definite operator makes dᵀ(A d) < 0 on the very first
         // direction: the solve must stop, report Breakdown, and terminate the
-        // event stream with a Stopped event (it used to end silently).
+        // event stream with a Stopped event (it used to end silently) — with
+        // and without a preconditioner.
         let dims = Dims::new(4, 4, 2);
         let op = ScaledIdentity::new(dims, -1.0f64);
+        let jacobi = JacobiPreconditioner::from_diagonal(&CellField::constant(dims, 1.0));
         let b = CellField::constant(dims, 1.0);
-        let mut recorder = RecordingMonitor::new();
         let solver = ConjugateGradient::with_tolerance(1e-20, 50);
-        let out = solver.solve_monitored(&op, &b, &CellField::zeros(dims), &mut recorder);
-        assert_eq!(out.stopped, Some(StopReason::Breakdown));
-        assert!(!out.history.converged);
-        assert_eq!(out.history.iterations, 0);
-        assert!(matches!(
-            recorder.terminal(),
-            Some(SolveEvent::Stopped(StopReason::Breakdown))
-        ));
+        for pc in [None, Some(&jacobi as &dyn Preconditioner<f64>)] {
+            let mut recorder = RecordingMonitor::new();
+            let out = solver.solve(&op, pc, &b, None, &mut recorder, &Span::null());
+            assert_eq!(out.stopped, Some(StopReason::Breakdown));
+            assert!(!out.history.converged);
+            assert_eq!(out.history.iterations, 0);
+            assert!(matches!(
+                recorder.terminal(),
+                Some(SolveEvent::Stopped(StopReason::Breakdown))
+            ));
+        }
     }
 
     #[test]
     fn scratch_reuse_is_bitwise_identical_across_solves() {
-        use crate::context::CgScratch;
-        use crate::monitor::NullMonitor;
         let w = WorkloadSpec::quickstart().build();
         let op = MatrixFreeOperator::<f64>::from_workload(&w);
         let p0: CellField<f64> = w.initial_pressure();
         let r = residual(&p0, w.transmissibility(), w.dirichlet());
         let b = newton_rhs(&r, w.dirichlet());
         let solver = ConjugateGradient::with_tolerance(1e-12, 2000);
-        let fresh = solver.solve(&op, &b, &CellField::zeros(w.dims()));
+        let fresh = plain(solver, &op, &b);
 
         // One scratch, three solves: the second and third start from dirty
         // buffers and a used history, and must still reproduce every bit.
         let mut scratch = CgScratch::new(w.dims());
         for round in 0..3 {
-            let stopped = solver.solve_into(&op, &b, None, &mut NullMonitor, &mut scratch);
+            let stopped = solver.solve_into(
+                &op,
+                None,
+                &b,
+                None,
+                &mut NullMonitor,
+                &Span::null(),
+                &mut scratch,
+            );
             assert_eq!(stopped, None);
             assert_eq!(
                 scratch.history(),
@@ -445,11 +497,7 @@ mod tests {
         let p0: CellField<f32> = w.initial_pressure();
         let r = residual(&p0, &w.transmissibility().convert(), w.dirichlet());
         let b = newton_rhs(&r, w.dirichlet());
-        let out = ConjugateGradient::with_tolerance(1e-10, 2000).solve(
-            &op,
-            &b,
-            &CellField::zeros(w.dims()),
-        );
+        let out = plain(ConjugateGradient::with_tolerance(1e-10, 2000), &op, &b);
         assert!(out.history.converged);
         assert!(out.solution.all_finite());
     }

@@ -17,7 +17,7 @@
 //! fingerprints.  The allocate-per-solve Newton solve of [`crate::newton`] is
 //! its independent reference.  [`SolveContext::step`] is the transient
 //! counterpart: [`run_transient`](crate::transient::run_transient) steps a
-//! whole run on one context, and both share one CG-vs-PCG dispatch.
+//! whole run on one context, and both share one Krylov call.
 //!
 //! [`SolveContextCache`] bundles one context per host precision plus a
 //! spec-keyed [`Workload`] cache; the engine gives each worker one and hands
@@ -27,7 +27,7 @@ use crate::backend::{PreconditionerKind, SolveConfig};
 use crate::cg::ConjugateGradient;
 use crate::convergence::{ConvergenceHistory, StoppingCriterion};
 use crate::monitor::{SolveMonitor, StopReason};
-use crate::pcg::{JacobiPreconditioner, PreconditionedConjugateGradient};
+use crate::pcg::JacobiPreconditioner;
 use crate::trace::TraceMonitor;
 use crate::transient::{StepOutcome, StepRequest};
 use mffv_fv::residual::{newton_rhs, residual};
@@ -39,8 +39,8 @@ use mffv_telemetry::Span;
 
 /// Reusable work vectors of one Krylov solve.
 ///
-/// Holds exactly the five fields `cg.rs` / `pcg.rs` historically allocated
-/// per solve (`solution`, `residual`, `direction`, `ad`, `z`) plus the
+/// Holds exactly the five fields the CG loop historically allocated per
+/// solve (`solution`, `residual`, `direction`, `ad`, `z`) plus the
 /// [`ConvergenceHistory`] entry buffer.  Every field is fully overwritten by
 /// the solver before it is read — `copy_from` replaces `clone()`, a full
 /// `apply` overwrite replaces `apply_new`, [`ConvergenceHistory::reset_from`]
@@ -52,7 +52,7 @@ pub struct CgScratch<T: Scalar> {
     pub(crate) direction: CellField<T>,
     /// The `A·d` product; also reused for the initial `A·x₀`.
     pub(crate) ad: CellField<T>,
-    /// The preconditioned residual (PCG only; plain CG never touches it).
+    /// The preconditioned residual (only touched under a preconditioner).
     pub(crate) z: CellField<T>,
     pub(crate) history: ConvergenceHistory,
 }
@@ -94,16 +94,6 @@ impl<T: Scalar> CgScratch<T> {
     /// The convergence history of the last solve run on this scratch.
     pub fn history(&self) -> &ConvergenceHistory {
         &self.history
-    }
-
-    /// Consume the scratch into the [`SolveOutcome`](crate::cg::SolveOutcome)
-    /// shape of the one-shot API.
-    pub fn into_outcome(self, stopped: Option<StopReason>) -> crate::cg::SolveOutcome<T> {
-        crate::cg::SolveOutcome {
-            solution: self.solution,
-            history: self.history,
-            stopped,
-        }
     }
 }
 
@@ -233,10 +223,9 @@ struct ContextState<T: Scalar> {
 }
 
 impl<T: Scalar> ContextState<T> {
-    /// The one Krylov dispatch of the host: plain CG, or PCG under the
-    /// cached preconditioner (applied under `span`), reporting to `monitor`
-    /// through a [`TraceMonitor`] under `span`.  `x0 = None` starts from
-    /// zero.
+    /// The host's one Krylov call: CG under the cached preconditioner (if
+    /// any, applied under `span`), reporting to `monitor` through a
+    /// [`TraceMonitor`] under `span`.  `x0 = None` starts from zero.
     fn krylov(
         &self,
         criterion: StoppingCriterion,
@@ -246,25 +235,15 @@ impl<T: Scalar> ContextState<T> {
         span: &Span,
         scratch: &mut CgScratch<T>,
     ) -> Option<StopReason> {
-        let mut monitor = TraceMonitor::new(span, monitor);
-        match self.precond.as_dyn() {
-            None => ConjugateGradient::new(criterion).solve_into(
-                &self.operator,
-                rhs,
-                x0,
-                &mut monitor,
-                scratch,
-            ),
-            Some(pc) => PreconditionedConjugateGradient::new(criterion).solve_traced_into(
-                &self.operator,
-                pc,
-                rhs,
-                x0,
-                &mut monitor,
-                span,
-                scratch,
-            ),
-        }
+        ConjugateGradient::new(criterion).solve_into(
+            &self.operator,
+            self.precond.as_dyn(),
+            rhs,
+            x0,
+            &mut TraceMonitor::new(span, monitor),
+            span,
+            scratch,
+        )
     }
 }
 
@@ -431,7 +410,7 @@ impl<T: Scalar> SolveContext<T> {
     }
 
     /// Run one steady pressure solve on the context: one Newton step whose
-    /// Krylov loop (CG, or PCG under the configured preconditioner) reports
+    /// Krylov loop (CG, preconditioned when so configured) reports
     /// to `monitor` through a [`TraceMonitor`] under `span`.  Results stay in
     /// the context's own buffers — read them through
     /// [`pressure`](Self::pressure), [`history`](Self::history) and
@@ -470,7 +449,7 @@ impl<T: Scalar> SolveContext<T> {
         // audit: allow(panic) — invariant: the block above always sets `newton`
         let newton = self.newton.as_mut().expect("newton was just ensured");
 
-        // The Newton step of `solve_pressure_monitored`, on reused buffers:
+        // The Newton step of `solve_pressure_with`, on reused buffers:
         // every `_into` target is fully overwritten.
         workload.initial_pressure_into(&mut newton.pressure);
         residual_into(
@@ -510,7 +489,7 @@ impl<T: Scalar> SolveContext<T> {
     /// consecutive steps of one run share the stencil plan and the
     /// preconditioner and swap only the shift when `Δt` or the active well
     /// set changes it.  The Krylov loop starts from the request's warm
-    /// `δ` (or zero) and runs through the same dispatch and
+    /// `δ` (or zero) and runs through the same Krylov call and
     /// [`TraceMonitor`] wrap as [`solve`](Self::solve).  Dirichlet rows are
     /// pinned to `δ = 0`, keeping boundary pressures exact.  The system is
     /// SPD for any `Δt > 0`, even without Dirichlet cells: the accumulation

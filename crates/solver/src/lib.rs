@@ -1,16 +1,19 @@
 #![forbid(unsafe_code)]
 //! # mffv-solver
 //!
-//! Krylov solvers for the FV linear systems: the conjugate-gradient method of the
-//! paper's Algorithm 1, a Jacobi-preconditioned variant (a natural extension the
-//! paper leaves for future work), deterministic reduction utilities matching the
-//! order of the whole-fabric all-reduce (§III-C), and a one-Newton-step driver that
-//! turns a workload into a converged pressure field.
+//! The Krylov solver for the FV linear systems: one conjugate-gradient loop
+//! ([`ConjugateGradient`]) implementing the paper's Algorithm 1, which also runs
+//! preconditioned CG under any [`Preconditioner`] — the Jacobi preconditioner of
+//! [`pcg`] or the multigrid V-cycle (natural extensions the paper leaves for
+//! future work).  Around it: deterministic reduction utilities matching the
+//! order of the whole-fabric all-reduce (§III-C), a one-Newton-step driver that
+//! turns a workload into a converged pressure field, and the pooled host solve
+//! pipeline of [`context`].
 //!
-//! The solvers are written against the [`mffv_fv::LinearOperator`] abstraction so
+//! The loop is written against the [`mffv_fv::LinearOperator`] abstraction so
 //! the identical iteration runs on the sequential matrix-free kernel, the assembled
-//! CSR baseline, the GPU-style reference and (re-implemented as a state machine) the
-//! dataflow fabric.
+//! CSR baseline and the GPU-style reference; the dataflow fabric re-implements it
+//! as a state machine.
 
 pub mod backend;
 pub mod cg;
@@ -35,8 +38,8 @@ pub use monitor::{
     monitor_fn, CancelToken, Flow, FnMonitor, MonitorFanout, NullMonitor, PolicySession,
     RecordingMonitor, SolveEvent, SolveMonitor, StopPolicy, StopReason,
 };
-pub use newton::{solve_pressure, solve_pressure_preconditioned, PressureSolution};
-pub use pcg::{JacobiPreconditioner, PreconditionedConjugateGradient};
+pub use newton::{solve_pressure, PressureSolution};
+pub use pcg::JacobiPreconditioner;
 pub use trace::{TraceMonitor, TRACE_CHUNK_ITERS};
 pub use transient::{
     run_transient, PressureSnapshot, StepOutcome, StepRequest, TransientReport, TransientStep,
@@ -58,8 +61,8 @@ pub mod prelude {
         monitor_fn, CancelToken, Flow, FnMonitor, MonitorFanout, NullMonitor, PolicySession,
         RecordingMonitor, SolveEvent, SolveMonitor, StopPolicy, StopReason,
     };
-    pub use crate::newton::{solve_pressure, solve_pressure_preconditioned, PressureSolution};
-    pub use crate::pcg::{JacobiPreconditioner, PreconditionedConjugateGradient};
+    pub use crate::newton::{solve_pressure, PressureSolution};
+    pub use crate::pcg::JacobiPreconditioner;
     pub use crate::reduction::{fabric_ordered_dot, fabric_ordered_sum};
     pub use crate::trace::{TraceMonitor, TRACE_CHUNK_ITERS};
     pub use crate::transient::{

@@ -2,19 +2,19 @@
 //!
 //! The single-phase incompressible problem of Eq. (1)–(3) is linear, so a single
 //! Newton step solves it exactly: evaluate the residual at the initial pressure,
-//! solve `A δp = b` with CG, and update.  It allocates every buffer
-//! per solve and runs on any [`LinearOperator`] (the assembled CSR baseline,
-//! the GPU reference's kernels, …).  The host backend's pooled pipeline,
-//! [`SolveContext::solve`](crate::context::SolveContext::solve), shares none
-//! of its buffers or Krylov entry points, so this module is that pipeline's
-//! independent reference: on the same planned operator and thread count
-//! both give bitwise the same history, pressure and final residual (pinned
-//! by `tests/host_reference.rs`).
+//! solve `A δp = b` with (optionally preconditioned) CG, and update.  It
+//! allocates every buffer per solve and runs on any [`LinearOperator`] (the
+//! assembled CSR baseline, the GPU reference's kernels, …).  The host
+//! backend's pooled pipeline,
+//! [`SolveContext::solve`](crate::context::SolveContext::solve), runs the same
+//! CG loop but shares none of this module's buffers, cache keying or Newton
+//! assembly, so this module is that pipeline's independent reference: on the
+//! same planned operator and thread count both give bitwise the same history,
+//! pressure and final residual (pinned by `tests/host_reference.rs`).
 
 use crate::cg::ConjugateGradient;
 use crate::convergence::ConvergenceHistory;
 use crate::monitor::{NullMonitor, SolveMonitor, StopReason};
-use crate::pcg::PreconditionedConjugateGradient;
 use mffv_fv::residual::{newton_rhs, residual};
 use mffv_fv::{LinearOperator, MatrixFreeOperator, Preconditioner};
 use mffv_mesh::{CellField, Scalar, Workload};
@@ -35,76 +35,31 @@ pub struct PressureSolution<T: Scalar> {
     pub stopped: Option<StopReason>,
 }
 
-/// Solve a workload's pressure problem with CG on an arbitrary operator.
+/// Solve a workload's pressure problem with CG on an arbitrary operator,
+/// optionally preconditioned (Jacobi, the multigrid V-cycle, …).
 ///
 /// The operator must be the SPD Newton operator consistent with the workload's
 /// transmissibilities and Dirichlet set (e.g. [`MatrixFreeOperator::from_workload`],
 /// the assembled baseline, the GPU reference or the dataflow fabric operator).
+/// `monitor` sees every iteration boundary of the inner CG loop and may stop
+/// the solve, in which case the partial pressure update and history are still
+/// returned (with [`PressureSolution::stopped`] set).  `span` scopes the
+/// preconditioner's telemetry (`mg.vcycle` / `mg.level`); pass [`Span::null`]
+/// when not tracing.  The recorded history carries the *unpreconditioned*
+/// `rᵀr`, so it is directly comparable across preconditioners.
 pub fn solve_pressure_with<T: Scalar, Op: LinearOperator<T>>(
     workload: &Workload,
     operator: &Op,
+    preconditioner: Option<&dyn Preconditioner<T>>,
     solver: &ConjugateGradient,
-) -> PressureSolution<T> {
-    solve_pressure_monitored(workload, operator, solver, &mut NullMonitor)
-}
-
-/// [`solve_pressure_with`] as an observable, cancellable session: `monitor`
-/// sees every iteration boundary of the inner CG loop and may stop the solve,
-/// in which case the partial pressure update and history are still returned
-/// (with [`PressureSolution::stopped`] set).
-pub fn solve_pressure_monitored<T: Scalar, Op: LinearOperator<T>>(
-    workload: &Workload,
-    operator: &Op,
-    solver: &ConjugateGradient,
-    monitor: &mut dyn SolveMonitor,
-) -> PressureSolution<T> {
-    let coeffs = workload.transmissibility().convert::<T>();
-    let p0: CellField<T> = workload.initial_pressure();
-    let r0 = residual(&p0, &coeffs, workload.dirichlet());
-    let b = newton_rhs(&r0, workload.dirichlet());
-    let outcome = solver.solve_monitored(operator, &b, &CellField::zeros(workload.dims()), monitor);
-
-    let mut pressure = p0;
-    pressure.axpy(T::ONE, &outcome.solution);
-    let r_final = residual(&pressure, &coeffs, workload.dirichlet());
-    PressureSolution {
-        pressure,
-        history: outcome.history,
-        final_residual_max: r_final.max_abs().to_f64(),
-        stopped: outcome.stopped,
-    }
-}
-
-/// The preconditioned counterpart of [`solve_pressure_monitored`]: the same
-/// one-Newton-step driver with the inner Krylov loop replaced by PCG under an
-/// arbitrary [`Preconditioner`] (Jacobi, the multigrid V-cycle, …).  `span`
-/// scopes the preconditioner's telemetry (`mg.vcycle` / `mg.level`); pass
-/// [`Span::null`] when not tracing.  The recorded history carries the
-/// *unpreconditioned* `rᵀr`, so it is directly comparable with plain CG.
-pub fn solve_pressure_preconditioned<T: Scalar, Op, P>(
-    workload: &Workload,
-    operator: &Op,
-    preconditioner: &P,
-    solver: &PreconditionedConjugateGradient,
     monitor: &mut dyn SolveMonitor,
     span: &Span,
-) -> PressureSolution<T>
-where
-    Op: LinearOperator<T>,
-    P: Preconditioner<T> + ?Sized,
-{
+) -> PressureSolution<T> {
     let coeffs = workload.transmissibility().convert::<T>();
     let p0: CellField<T> = workload.initial_pressure();
     let r0 = residual(&p0, &coeffs, workload.dirichlet());
     let b = newton_rhs(&r0, workload.dirichlet());
-    let outcome = solver.solve_traced(
-        operator,
-        preconditioner,
-        &b,
-        &CellField::zeros(workload.dims()),
-        monitor,
-        span,
-    );
+    let outcome = solver.solve(operator, preconditioner, &b, None, monitor, span);
 
     let mut pressure = p0;
     pressure.axpy(T::ONE, &outcome.solution);
@@ -122,7 +77,14 @@ where
 pub fn solve_pressure<T: Scalar>(workload: &Workload) -> PressureSolution<T> {
     let operator = MatrixFreeOperator::<T>::from_workload(workload);
     let solver = ConjugateGradient::with_tolerance(workload.tolerance(), workload.max_iterations());
-    solve_pressure_with(workload, &operator, &solver)
+    solve_pressure_with(
+        workload,
+        &operator,
+        None,
+        &solver,
+        &mut NullMonitor,
+        &Span::null(),
+    )
 }
 
 #[cfg(test)]
@@ -159,7 +121,7 @@ mod tests {
         let mf = solve_pressure::<f64>(&w);
         let asm_op = AssembledOperator::<f64>::from_workload(&w);
         let solver = ConjugateGradient::with_tolerance(w.tolerance(), w.max_iterations());
-        let asm = solve_pressure_with(&w, &asm_op, &solver);
+        let asm = solve_pressure_with(&w, &asm_op, None, &solver, &mut NullMonitor, &Span::null());
         assert!(mf.history.converged && asm.history.converged);
         let rel = mf.pressure.max_abs_diff(&asm.pressure) / mf.pressure.max_abs();
         assert!(rel < 1e-9, "relative mismatch {rel}");
@@ -172,7 +134,14 @@ mod tests {
         // The paper's f32 device precision: tolerance loosened to what f32 can reach.
         let op32 = MatrixFreeOperator::<f32>::from_workload(&w);
         let solver = ConjugateGradient::with_tolerance(1e-10, 5000);
-        let s32 = solve_pressure_with::<f32, _>(&w, &op32, &solver);
+        let s32 = solve_pressure_with::<f32, _>(
+            &w,
+            &op32,
+            None,
+            &solver,
+            &mut NullMonitor,
+            &Span::null(),
+        );
         assert!(s32.history.converged);
         let diff = s64.pressure.max_abs_diff(&s32.pressure.convert());
         assert!(diff < 1e-4, "f32 vs f64 gap {diff}");
@@ -184,12 +153,18 @@ mod tests {
         let loose = solve_pressure_with::<f64, _>(
             &w,
             &MatrixFreeOperator::<f64>::from_workload(&w),
+            None,
             &ConjugateGradient::with_tolerance(1e-4, 10_000),
+            &mut NullMonitor,
+            &Span::null(),
         );
         let tight = solve_pressure_with::<f64, _>(
             &w,
             &MatrixFreeOperator::<f64>::from_workload(&w),
+            None,
             &ConjugateGradient::with_tolerance(1e-18, 10_000),
+            &mut NullMonitor,
+            &Span::null(),
         );
         assert!(tight.final_residual_max <= loose.final_residual_max);
     }

@@ -1,23 +1,18 @@
-//! Preconditioned conjugate gradient.
+//! The Jacobi preconditioner.
 //!
 //! The paper solves the un-preconditioned system (Algorithm 1).  Diagonal (Jacobi)
 //! preconditioning is the natural first extension for the heterogeneous
 //! permeability fields real CCS geomodels exhibit, and it maps onto the dataflow
 //! architecture trivially — the diagonal is resident per PE, so the extra work per
-//! iteration is one local multiply and no additional communication.  The PCG loop
-//! itself is written against the [`Preconditioner`] trait, so the same iteration
-//! also runs under the geometric-multigrid V-cycle of
+//! iteration is one local multiply and no additional communication.  There is no
+//! separate preconditioned loop: [`ConjugateGradient`](crate::cg::ConjugateGradient)
+//! takes any [`Preconditioner`] — this one or the geometric-multigrid V-cycle of
 //! [`mffv_fv::mg::MultigridVcycle`] (where the win is iteration *count* roughly
-//! flat in grid size); the ablation benchmarks compare all of them against plain
+//! flat in grid size) — and the ablation benchmarks compare them against plain
 //! CG.
 
-use crate::context::CgScratch;
-use crate::convergence::StoppingCriterion;
-use crate::monitor::{Flow, NullMonitor, SolveEvent, SolveMonitor};
-use mffv_fv::plan::{det_dot, det_norm_squared};
-use mffv_fv::{LinearOperator, Preconditioner};
+use mffv_fv::Preconditioner;
 use mffv_mesh::{CellField, Dims, Direction, DirichletSet, Scalar, Transmissibilities};
-use mffv_telemetry::Span;
 
 /// A diagonal (Jacobi) preconditioner `M⁻¹ = diag(A)⁻¹`.
 #[derive(Clone, Debug)]
@@ -93,205 +88,17 @@ impl<T: Scalar> Preconditioner<T> for JacobiPreconditioner<T> {
     }
 }
 
-/// Preconditioned conjugate gradient solver.
-#[derive(Clone, Copy, Debug)]
-pub struct PreconditionedConjugateGradient {
-    /// Stopping criterion (tolerance on `rᵀr` and iteration cap); the convergence
-    /// test deliberately uses the *unpreconditioned* `rᵀr` so histories are
-    /// comparable with plain CG.
-    pub criterion: StoppingCriterion,
-}
-
-impl PreconditionedConjugateGradient {
-    /// A solver with an explicit criterion.
-    pub fn new(criterion: StoppingCriterion) -> Self {
-        Self { criterion }
-    }
-
-    /// A solver with the given tolerance on `rᵀr` and iteration cap.
-    pub fn with_tolerance(tolerance: f64, max_iterations: usize) -> Self {
-        Self {
-            criterion: StoppingCriterion::new(tolerance, max_iterations),
-        }
-    }
-
-    /// Solve `A x = b` with preconditioner `M⁻¹`, starting from `x0`.
-    pub fn solve<T: Scalar, Op: LinearOperator<T>, P: Preconditioner<T> + ?Sized>(
-        &self,
-        operator: &Op,
-        preconditioner: &P,
-        rhs: &CellField<T>,
-        x0: &CellField<T>,
-    ) -> crate::cg::SolveOutcome<T> {
-        self.solve_monitored(operator, preconditioner, rhs, x0, &mut NullMonitor)
-    }
-
-    /// Solve `A x = b` as an observable, cancellable session (the PCG
-    /// counterpart of
-    /// [`ConjugateGradient::solve_monitored`](crate::cg::ConjugateGradient::solve_monitored)):
-    /// `monitor` sees the recorded *unpreconditioned* `rᵀr` at every
-    /// iteration boundary and may stop the solve early.
-    pub fn solve_monitored<T: Scalar, Op: LinearOperator<T>, P: Preconditioner<T> + ?Sized>(
-        &self,
-        operator: &Op,
-        preconditioner: &P,
-        rhs: &CellField<T>,
-        x0: &CellField<T>,
-        monitor: &mut dyn SolveMonitor,
-    ) -> crate::cg::SolveOutcome<T> {
-        self.solve_traced(operator, preconditioner, rhs, x0, monitor, &Span::null())
-    }
-
-    /// [`solve_monitored`](Self::solve_monitored) with telemetry: every
-    /// preconditioner application runs under `span`, so structured
-    /// preconditioners (the multigrid V-cycle) emit their `mg.vcycle` /
-    /// `mg.level` phase spans.  Tracing never touches the arithmetic —
-    /// traced and untraced solves are bitwise identical.
-    pub fn solve_traced<T: Scalar, Op: LinearOperator<T>, P: Preconditioner<T> + ?Sized>(
-        &self,
-        operator: &Op,
-        preconditioner: &P,
-        rhs: &CellField<T>,
-        x0: &CellField<T>,
-        monitor: &mut dyn SolveMonitor,
-        span: &Span,
-    ) -> crate::cg::SolveOutcome<T> {
-        let mut scratch = CgScratch::new(operator.dims());
-        let stopped = self.solve_traced_into(
-            operator,
-            preconditioner,
-            rhs,
-            Some(x0),
-            monitor,
-            span,
-            &mut scratch,
-        );
-        scratch.into_outcome(stopped)
-    }
-
-    /// [`solve_traced`](Self::solve_traced) into a caller-owned
-    /// [`CgScratch`] — the zero-allocation form of the pooled serving path
-    /// (the PCG counterpart of
-    /// [`ConjugateGradient::solve_into`](crate::cg::ConjugateGradient::solve_into)).
-    ///
-    /// `x0 = None` starts from the zero vector.  Every scratch buffer —
-    /// including `z`, which every [`Preconditioner::apply`] fully overwrites
-    /// — is written before it is read, so results are bitwise identical to a
-    /// fresh-allocation solve.  On a numerical breakdown the solve ends with
-    /// a terminal
-    /// [`SolveEvent::Stopped`]`(`[`StopReason::Breakdown`](crate::monitor::StopReason::Breakdown)`)`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_traced_into<T: Scalar, Op: LinearOperator<T>, P: Preconditioner<T> + ?Sized>(
-        &self,
-        operator: &Op,
-        preconditioner: &P,
-        rhs: &CellField<T>,
-        x0: Option<&CellField<T>>,
-        monitor: &mut dyn SolveMonitor,
-        span: &Span,
-        scratch: &mut CgScratch<T>,
-    ) -> Option<crate::monitor::StopReason> {
-        use crate::monitor::StopReason;
-
-        let dims = operator.dims();
-        assert_eq!(rhs.dims(), dims);
-        assert_eq!(scratch.dims(), dims, "scratch dimension mismatch");
-        assert_eq!(preconditioner.dims(), dims);
-        match x0 {
-            Some(x0) => {
-                assert_eq!(x0.dims(), dims);
-                scratch.solution.copy_from(x0);
-            }
-            None => scratch.solution.fill(T::ZERO),
-        }
-        scratch.residual.copy_from(rhs);
-        operator.apply(&scratch.solution, &mut scratch.ad);
-        scratch.residual.axpy(-T::ONE, &scratch.ad);
-
-        preconditioner.apply_traced(&scratch.residual, &mut scratch.z, span);
-        scratch.direction.copy_from(&scratch.z);
-
-        let mut rz = det_dot(&scratch.residual, &scratch.z).to_f64();
-        let rr0 = det_norm_squared(&scratch.residual).to_f64();
-        scratch.history.reset_from(rr0);
-        if self.criterion.is_converged(rr0) {
-            scratch.history.converged = true;
-            monitor.on_event(&SolveEvent::Started { initial_rr: rr0 });
-            monitor.on_event(&SolveEvent::Converged {
-                iterations: 0,
-                rr: rr0,
-            });
-            return None;
-        }
-        if let Flow::Stop(reason) = monitor.on_event(&SolveEvent::Started { initial_rr: rr0 }) {
-            monitor.on_event(&SolveEvent::Stopped(reason));
-            return Some(reason);
-        }
-
-        let mut stopped = None;
-        for _ in 0..self.criterion.max_iterations {
-            // Fused kernels (see `mffv_fv::LinearOperator`): one pass for
-            // A d + dᵀ(A d), one pass for both axpy updates + rᵀr.
-            let d_ad = operator
-                .apply_dot(&scratch.direction, &mut scratch.ad)
-                .to_f64();
-            if d_ad <= 0.0 || !d_ad.is_finite() {
-                // Breakdown: terminate the stream with a Stopped event
-                // instead of ending it silently.
-                monitor.on_event(&SolveEvent::Stopped(StopReason::Breakdown));
-                stopped = Some(StopReason::Breakdown);
-                break;
-            }
-            let alpha = T::from_f64(rz / d_ad);
-            let rr = operator
-                .cg_update(
-                    alpha,
-                    &scratch.direction,
-                    &scratch.ad,
-                    &mut scratch.solution,
-                    &mut scratch.residual,
-                )
-                .to_f64();
-            scratch.history.record(rr);
-            if self.criterion.is_converged(rr) {
-                scratch.history.converged = true;
-                monitor.on_event(&SolveEvent::Iteration {
-                    k: scratch.history.iterations,
-                    rr,
-                });
-                monitor.on_event(&SolveEvent::Converged {
-                    iterations: scratch.history.iterations,
-                    rr,
-                });
-                break;
-            }
-            if let Flow::Stop(reason) = monitor.on_event(&SolveEvent::Iteration {
-                k: scratch.history.iterations,
-                rr,
-            }) {
-                monitor.on_event(&SolveEvent::Stopped(reason));
-                stopped = Some(reason);
-                break;
-            }
-            preconditioner.apply_traced(&scratch.residual, &mut scratch.z, span);
-            let rz_new = det_dot(&scratch.residual, &scratch.z).to_f64();
-            let beta = T::from_f64(rz_new / rz);
-            scratch.direction.xpby(&scratch.z, beta);
-            rz = rz_new;
-        }
-        stopped
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cg::ConjugateGradient;
+    use crate::monitor::NullMonitor;
     use mffv_fv::matrix_free::MatrixFreeOperator;
     use mffv_fv::residual::{newton_rhs, residual};
     use mffv_mesh::permeability::PermeabilityModel;
     use mffv_mesh::workload::{BoundarySpec, WorkloadSpec};
     use mffv_mesh::Dims;
+    use mffv_telemetry::Span;
 
     fn heterogeneous_workload() -> mffv_mesh::Workload {
         WorkloadSpec {
@@ -335,9 +142,16 @@ mod tests {
         let b = newton_rhs(&r, w.dirichlet());
         let x0 = CellField::zeros(w.dims());
 
-        let cg = ConjugateGradient::with_tolerance(1e-18, 5000).solve(&op, &b, &x0);
-        let pcg =
-            PreconditionedConjugateGradient::with_tolerance(1e-18, 5000).solve(&op, &pc, &b, &x0);
+        let solver = ConjugateGradient::with_tolerance(1e-18, 5000);
+        let cg = solver.solve(&op, None, &b, Some(&x0), &mut NullMonitor, &Span::null());
+        let pcg = solver.solve(
+            &op,
+            Some(&pc),
+            &b,
+            Some(&x0),
+            &mut NullMonitor,
+            &Span::null(),
+        );
         assert!(cg.history.converged && pcg.history.converged);
         assert!(
             pcg.solution.max_abs_diff(&cg.solution) < 1e-6,
@@ -354,25 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_on_indefinite_operator_emits_terminal_stopped_event() {
-        use crate::monitor::{RecordingMonitor, SolveEvent, StopReason};
-        use mffv_fv::operator::ScaledIdentity;
-        let dims = Dims::new(4, 4, 2);
-        let op = ScaledIdentity::new(dims, -1.0f64);
-        let pc = JacobiPreconditioner::from_diagonal(&CellField::constant(dims, 1.0));
-        let b = CellField::constant(dims, 1.0);
-        let mut recorder = RecordingMonitor::new();
-        let solver = PreconditionedConjugateGradient::with_tolerance(1e-20, 50);
-        let out = solver.solve_monitored(&op, &pc, &b, &CellField::zeros(dims), &mut recorder);
-        assert_eq!(out.stopped, Some(StopReason::Breakdown));
-        assert!(!out.history.converged);
-        assert!(matches!(
-            recorder.terminal(),
-            Some(SolveEvent::Stopped(StopReason::Breakdown))
-        ));
-    }
-
-    #[test]
     fn scratch_reuse_is_bitwise_identical_across_solves() {
         use crate::context::CgScratch;
         let w = heterogeneous_workload();
@@ -381,14 +176,21 @@ mod tests {
         let p0: CellField<f64> = w.initial_pressure();
         let r = residual(&p0, w.transmissibility(), w.dirichlet());
         let b = newton_rhs(&r, w.dirichlet());
-        let solver = PreconditionedConjugateGradient::with_tolerance(1e-18, 5000);
-        let fresh = solver.solve(&op, &pc, &b, &CellField::zeros(w.dims()));
+        let solver = ConjugateGradient::with_tolerance(1e-18, 5000);
+        let fresh = solver.solve(
+            &op,
+            Some(&pc),
+            &b,
+            Some(&CellField::zeros(w.dims())),
+            &mut NullMonitor,
+            &Span::null(),
+        );
 
         let mut scratch = CgScratch::new(w.dims());
         for round in 0..2 {
-            let stopped = solver.solve_traced_into(
+            let stopped = solver.solve_into(
                 &op,
-                &pc,
+                Some(&pc),
                 &b,
                 None,
                 &mut NullMonitor,

@@ -1,5 +1,6 @@
-//! Golden/differential transient tests: host vs gpu-ref vs dataflow
-//! trajectories compared against each other and against pinned fixtures.
+//! Golden/differential tests: host vs gpu-ref vs dataflow transient
+//! trajectories compared against each other and against pinned fixtures,
+//! plus pinned steady solves for every host Krylov configuration.
 //!
 //! The long per-step solve chains of transient simulation are where silent
 //! numerical drift hides; these tests pin the full 50-step trajectories as
@@ -8,6 +9,7 @@
 //! cross-backend agreement tolerances stated inline.
 
 use mffv::prelude::*;
+use mffv_mesh::permeability::PermeabilityModel;
 use mffv_mesh::workload::BoundarySpec;
 use mffv_mesh::CellIndex;
 
@@ -137,6 +139,88 @@ fn preconditioned_transient_trajectories_match_the_pinned_fixtures() {
         assert_eq!(report.num_steps(), 10, "{name}");
         assert!(report.all_converged(), "{name}");
         golden_record(name, &report).check();
+    }
+}
+
+/// A small heterogeneous steady problem: log-normal permeability over a
+/// grid large enough for a two-level multigrid hierarchy.
+fn steady_workload() -> Workload {
+    WorkloadSpec {
+        name: "golden-steady".into(),
+        dims: Dims::new(24, 16, 12),
+        permeability: PermeabilityModel::LogNormal {
+            mean_log: 0.0,
+            std_log: 1.5,
+            seed: 7,
+        },
+        ..WorkloadSpec::quickstart()
+    }
+    .build()
+}
+
+#[test]
+fn steady_solves_match_the_pinned_fixtures() {
+    let workload = steady_workload();
+    for (name, backend, tolerance, kind) in [
+        (
+            "steady_host_f64_none",
+            Backend::host(),
+            1e-18,
+            PreconditionerKind::None,
+        ),
+        (
+            "steady_host_f64_jacobi",
+            Backend::host(),
+            1e-18,
+            PreconditionerKind::Jacobi,
+        ),
+        (
+            "steady_host_f64_mg",
+            Backend::host(),
+            1e-18,
+            PreconditionerKind::Mg,
+        ),
+        (
+            "steady_host_f32_none",
+            Backend::host_f32(),
+            1e-10,
+            PreconditionerKind::None,
+        ),
+        (
+            "steady_host_f32_jacobi",
+            Backend::host_f32(),
+            1e-10,
+            PreconditionerKind::Jacobi,
+        ),
+        (
+            "steady_gpu_ref_none",
+            Backend::gpu_ref(),
+            1e-10,
+            PreconditionerKind::None,
+        ),
+        (
+            "steady_gpu_ref_jacobi",
+            Backend::gpu_ref(),
+            1e-10,
+            PreconditionerKind::Jacobi,
+        ),
+    ] {
+        let report = Simulation::new(workload.clone())
+            .tolerance(tolerance)
+            .preconditioner(kind)
+            .run_backend(&backend)
+            .unwrap();
+        assert!(report.converged(), "{name}");
+        common::Golden::new(name)
+            .str("backend", &report.backend)
+            .int("iterations", report.iterations())
+            .num("final_rr", report.history.final_rr())
+            .str(
+                "pressure_checksum",
+                common::field_checksum(&report.pressure),
+            )
+            .num("final_residual_max", report.final_residual_max)
+            .check();
     }
 }
 

@@ -3,17 +3,18 @@
 //!
 //! 1. **Independent reference** — `HostBackend::solve` runs every solve on a
 //!    `SolveContext` (the request's cache, or a fresh one-shot context).  The
-//!    allocate-per-solve Newton solve of `mffv_solver::newton` shares none
-//!    of its buffers, keying or Krylov entry points, so it is the reference:
-//!    history, pressure and `final_residual_max` must match it bitwise for
-//!    every preconditioner at both precisions, with and without a cache.
+//!    allocate-per-solve Newton solve of `mffv_solver::newton` runs the same
+//!    CG loop but shares none of the context's buffers, cache keying or
+//!    Newton assembly, so it is the reference: history, pressure and
+//!    `final_residual_max` must match it bitwise for every preconditioner at
+//!    both precisions, with and without a cache.
 //! 2. **Span shape** — a traced host solve records the same phase tree
 //!    whether its context is fresh, cold-cached or warm-cached, and a solve
 //!    under a null span records nothing.
 
 use mffv::prelude::*;
 use mffv::solver::backend::final_residual_max_f64;
-use mffv::solver::newton::solve_pressure_monitored;
+use mffv::solver::newton::solve_pressure_with;
 use mffv::telemetry::Tracer;
 
 /// Bit patterns of a report's pressure, history and final residual.
@@ -42,31 +43,29 @@ fn newton_reference<T: Scalar>(workload: &Workload, config: &SolveConfig) -> Bit
     let max_iterations = config.effective_max_iterations(workload);
     let threads = config.effective_threads();
     let operator = MatrixFreeOperator::<T>::from_workload(workload).with_threads(threads);
-    let pcg = PreconditionedConjugateGradient::with_tolerance(tolerance, max_iterations);
-    let solution: PressureSolution<T> = match config.preconditioner {
-        PreconditionerKind::None => solve_pressure_monitored(
-            workload,
-            &operator,
-            &ConjugateGradient::with_tolerance(tolerance, max_iterations),
-            &mut NullMonitor,
-        ),
-        PreconditionerKind::Jacobi => solve_pressure_preconditioned(
-            workload,
-            &operator,
-            &JacobiPreconditioner::from_coefficients(operator.coefficients(), workload.dirichlet()),
-            &pcg,
-            &mut NullMonitor,
-            &Span::null(),
-        ),
-        PreconditionerKind::Mg => solve_pressure_preconditioned(
-            workload,
-            &operator,
-            &MultigridVcycle::<T>::from_workload(workload, threads, MgConfig::default()),
-            &pcg,
-            &mut NullMonitor,
-            &Span::null(),
-        ),
+    let (jacobi, mg);
+    let preconditioner: Option<&dyn Preconditioner<T>> = match config.preconditioner {
+        PreconditionerKind::None => None,
+        PreconditionerKind::Jacobi => {
+            jacobi = JacobiPreconditioner::from_coefficients(
+                operator.coefficients(),
+                workload.dirichlet(),
+            );
+            Some(&jacobi)
+        }
+        PreconditionerKind::Mg => {
+            mg = MultigridVcycle::<T>::from_workload(workload, threads, MgConfig::default());
+            Some(&mg)
+        }
     };
+    let solution: PressureSolution<T> = solve_pressure_with(
+        workload,
+        &operator,
+        preconditioner,
+        &ConjugateGradient::with_tolerance(tolerance, max_iterations),
+        &mut NullMonitor,
+        &Span::null(),
+    );
     assert!(solution.history.converged);
     let pressure: CellField<f64> = solution.pressure.convert();
     // The report contract evaluates the residual in f64; the f64 solve

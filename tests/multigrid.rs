@@ -180,17 +180,22 @@ fn mg_pcg_reaches_the_same_pressure_as_plain_cg() {
     ] {
         let operator = MatrixFreeOperator::<f64>::from_workload(&w);
         let cg = ConjugateGradient::with_tolerance(w.tolerance(), w.max_iterations());
-        let base = solve_pressure_with::<f64, _>(&w, &operator, &cg);
+        let base = solve_pressure_with::<f64, _>(
+            &w,
+            &operator,
+            None,
+            &cg,
+            &mut NullMonitor,
+            &Span::null(),
+        );
         assert!(base.history.converged);
 
         let mg = MultigridVcycle::<f64>::from_workload(&w, 1, MgConfig::default());
-        let pcg =
-            PreconditionedConjugateGradient::with_tolerance(w.tolerance(), w.max_iterations());
-        let sol = solve_pressure_preconditioned::<f64, _, _>(
+        let sol = solve_pressure_with::<f64, _>(
             &w,
             &operator,
-            &mg,
-            &pcg,
+            Some(&mg),
+            &cg,
             &mut NullMonitor,
             &Span::null(),
         );
@@ -229,12 +234,11 @@ fn mg_pcg_residual_history_is_bitwise_identical_across_thread_counts() {
     let solve = |threads: usize| {
         let operator = MatrixFreeOperator::<f64>::from_workload(&w).with_threads(threads);
         let mg = MultigridVcycle::<f64>::from_workload(&w, threads, MgConfig::default());
-        let pcg =
-            PreconditionedConjugateGradient::with_tolerance(w.tolerance(), w.max_iterations());
-        solve_pressure_preconditioned::<f64, _, _>(
+        let pcg = ConjugateGradient::with_tolerance(w.tolerance(), w.max_iterations());
+        solve_pressure_with::<f64, _>(
             &w,
             &operator,
-            &mg,
+            Some(&mg),
             &pcg,
             &mut NullMonitor,
             &Span::null(),
@@ -289,12 +293,11 @@ fn mg_pcg_iterations_stay_flat_under_refinement() {
         let w = WorkloadSpec::paper_grid(n, n, n).build();
         let operator = MatrixFreeOperator::<f64>::from_workload(&w);
         let mg = MultigridVcycle::<f64>::from_workload(&w, 1, MgConfig::default());
-        let pcg =
-            PreconditionedConjugateGradient::with_tolerance(w.tolerance(), w.max_iterations());
-        let sol = solve_pressure_preconditioned::<f64, _, _>(
+        let pcg = ConjugateGradient::with_tolerance(w.tolerance(), w.max_iterations());
+        let sol = solve_pressure_with::<f64, _>(
             &w,
             &operator,
-            &mg,
+            Some(&mg),
             &pcg,
             &mut NullMonitor,
             &Span::null(),

@@ -27,12 +27,18 @@ fn assembled_baseline_matches_oracle_to_solver_precision() {
         let oracle = solve_pressure_with::<f64, _>(
             &workload,
             &mffv_fv::MatrixFreeOperator::<f64>::from_workload(&workload),
+            None,
             &solver,
+            &mut NullMonitor,
+            &Span::null(),
         );
         let assembled = solve_pressure_with::<f64, _>(
             &workload,
             &AssembledOperator::<f64>::from_workload(&workload),
+            None,
             &solver,
+            &mut NullMonitor,
+            &Span::null(),
         );
         assert!(oracle.history.converged && assembled.history.converged);
         let scale = oracle.pressure.max_abs().max(f64::MIN_POSITIVE);

@@ -160,7 +160,7 @@ proptest! {
         let r = mffv_fv::residual::residual(&p0, &coeffs, &dirichlet);
         let b = mffv_fv::residual::newton_rhs(&r, &dirichlet);
         let out = mffv_solver::cg::ConjugateGradient::with_tolerance(1e-18, 5000)
-            .solve(&op, &b, &CellField::zeros(dims));
+            .solve(&op, None, &b, Some(&CellField::zeros(dims)), &mut NullMonitor, &Span::null());
         prop_assert!(out.history.converged);
         let mut p = p0;
         p.axpy(1.0, &out.solution);
@@ -215,8 +215,9 @@ proptest! {
         let solver = mffv_solver::cg::ConjugateGradient::with_tolerance(1e-14, 2000);
         let x0 = CellField::zeros(workload.dims());
 
-        let fused = solver.solve(&op, &b, &x0);
-        let unfused = solver.solve(&UnfusedOp(&op), &b, &x0);
+        let fused = solver.solve(&op, None, &b, Some(&x0), &mut NullMonitor, &Span::null());
+        let unfused =
+            solver.solve(&UnfusedOp(&op), None, &b, Some(&x0), &mut NullMonitor, &Span::null());
         let bits = |h: &[f64]| h.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(
             bits(&fused.history.residual_norms_squared),
