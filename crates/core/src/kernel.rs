@@ -122,8 +122,8 @@ pub fn local_dot_rr(pe: &mut ProcessingElement, bufs: &PeColumnBuffers) -> Resul
     pe.dot_local(Dsd::full(bufs.residual, nz), Dsd::full(bufs.residual, nz))
 }
 
-/// `solution += α · direction` and `residual −= α · operator_out` (CG lines 6–7).
-pub fn apply_alpha_updates(
+/// `solution += α · direction` (CG line 6).
+pub fn update_solution(
     pe: &mut ProcessingElement,
     bufs: &PeColumnBuffers,
     alpha: f32,
@@ -133,13 +133,21 @@ pub fn apply_alpha_updates(
         Dsd::full(bufs.solution, nz),
         Dsd::full(bufs.direction, nz),
         alpha,
-    )?;
+    )
+}
+
+/// `residual −= α · operator_out` (CG line 7).
+pub fn update_residual(
+    pe: &mut ProcessingElement,
+    bufs: &PeColumnBuffers,
+    alpha: f32,
+) -> Result<()> {
+    let nz = pe.memory().len(bufs.residual)?;
     pe.axpy(
         Dsd::full(bufs.residual, nz),
         Dsd::full(bufs.operator_out, nz),
         -alpha,
-    )?;
-    Ok(())
+    )
 }
 
 /// `z ← D⁻¹ · r`: the on-fabric Jacobi preconditioner, one fill plus one fused
@@ -336,7 +344,9 @@ mod tests {
         assert!((rr - expected_rr).abs() < 1e-4);
 
         // operator_out left as zero: apply alpha updates and check the arithmetic.
-        apply_alpha_updates(&mut pe, &bufs, 2.0).unwrap();
+        update_solution(&mut pe, &bufs, 2.0).unwrap();
+        update_residual(&mut pe, &bufs, 2.0).unwrap();
+        assert_eq!(pe.memory().read(bufs.residual, 0, nz).unwrap(), rhs);
         let sol = pe.memory().read(bufs.solution, 0, nz).unwrap();
         for z in 0..nz {
             assert!((sol[z] - 2.0 * rhs[z]).abs() < 1e-6);

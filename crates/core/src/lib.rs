@@ -19,12 +19,13 @@
 //!   z-column (Algorithm 2), vertical neighbours resolved in local memory, horizontal
 //!   neighbours from the received halos, executed with DSD vector operations;
 //! * [`state_machine`] — the 14-state conjugate-gradient state machine of §III-D;
-//! * [`solver`] — [`solver::DataflowFvSolver`], the top-level API tying everything
-//!   together and producing a pressure field plus measured/modelled statistics;
+//! * [`backend`] — [`DataflowBackend`], the one solve entry point: it ties
+//!   everything together and reports a pressure field plus measured counters and
+//!   modelled device time;
 //! * [`options`] — the optimisation toggles of §III-E (buffer reuse, communication
 //!   overlap, vectorisation) used by the ablation benchmarks;
-//! * [`stats`] — the per-run statistics behind Table IV (data-movement versus
-//!   computation time split) and the roofline inputs.
+//! * [`stats`] — the measured per-run counters and the device-time model over
+//!   them.
 
 pub mod allreduce;
 pub mod backend;
@@ -32,7 +33,6 @@ pub mod comm;
 pub mod kernel;
 pub mod mapping;
 pub mod options;
-pub mod solver;
 pub mod state_machine;
 pub mod stats;
 
@@ -40,7 +40,6 @@ pub use backend::DataflowBackend;
 pub use comm::CardinalExchange;
 pub use mapping::{MemoryPlan, PeColumnBuffers, ProblemMapping, ReuseStrategy};
 pub use options::SolverOptions;
-pub use solver::{DataflowFvSolver, DataflowSolveReport};
 pub use state_machine::{CgEvent, CgState, CgStateMachine};
 pub use stats::DataflowRunStats;
 
@@ -51,7 +50,6 @@ pub mod prelude {
     pub use crate::comm::CardinalExchange;
     pub use crate::mapping::{MemoryPlan, ProblemMapping, ReuseStrategy};
     pub use crate::options::SolverOptions;
-    pub use crate::solver::{DataflowFvSolver, DataflowSolveReport};
     pub use crate::state_machine::{CgEvent, CgState, CgStateMachine};
     pub use crate::stats::DataflowRunStats;
 }

@@ -8,9 +8,10 @@
 
 use crate::mapping::ReuseStrategy;
 use mffv_fabric::timing::OverlapMode;
-use mffv_solver::backend::PreconditionerKind;
 
-/// Configuration of a dataflow solve.
+/// Configuration of a dataflow solve.  Tolerance, iteration cap and
+/// preconditioner come from the request's
+/// [`SolveConfig`](mffv_solver::backend::SolveConfig), as on every backend.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SolverOptions {
     /// Buffer-reuse strategy assumed by the memory plan (§III-E1).
@@ -29,18 +30,6 @@ pub struct SolverOptions {
     /// Iteration count used when `compute_enabled` is `false` (the paper terminates
     /// its communication-only run at step 225 to match the converged run).
     pub forced_iterations: usize,
-    /// Override of the workload's convergence tolerance on `rᵀr` (`None` keeps the
-    /// workload's setting).
-    pub tolerance_override: Option<f64>,
-    /// Override of the workload's iteration cap (`None` keeps the workload's
-    /// setting).
-    pub max_iterations_override: Option<usize>,
-    /// Preconditioner for the CG loop.  Jacobi runs on-fabric (one extra fused
-    /// DSD pass per iteration on a resident inverse-diagonal column); the
-    /// multigrid V-cycle runs host-assisted, with the residual columns read
-    /// back and the correction columns written per application.  Ignored in
-    /// communication-only mode.
-    pub preconditioner: PreconditionerKind,
 }
 
 impl Default for SolverOptions {
@@ -51,9 +40,6 @@ impl Default for SolverOptions {
             vectorized: true,
             compute_enabled: true,
             forced_iterations: 0,
-            tolerance_override: None,
-            max_iterations_override: None,
-            preconditioner: PreconditionerKind::None,
         }
     }
 }
@@ -88,24 +74,6 @@ impl SolverOptions {
     /// Use the straightforward (no reuse) memory plan (ablation).
     pub fn without_buffer_reuse(mut self) -> Self {
         self.reuse = ReuseStrategy::None;
-        self
-    }
-
-    /// Override the convergence tolerance.
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance_override = Some(tolerance);
-        self
-    }
-
-    /// Override the iteration cap.
-    pub fn with_max_iterations(mut self, max_iterations: usize) -> Self {
-        self.max_iterations_override = Some(max_iterations);
-        self
-    }
-
-    /// Select the CG preconditioner.
-    pub fn with_preconditioner(mut self, preconditioner: PreconditionerKind) -> Self {
-        self.preconditioner = preconditioner;
         self
     }
 
@@ -152,14 +120,5 @@ mod tests {
         let o = SolverOptions::communication_only(225);
         assert!(!o.compute_enabled);
         assert_eq!(o.forced_iterations, 225);
-    }
-
-    #[test]
-    fn overrides() {
-        let o = SolverOptions::paper()
-            .with_tolerance(1e-6)
-            .with_max_iterations(42);
-        assert_eq!(o.tolerance_override, Some(1e-6));
-        assert_eq!(o.max_iterations_override, Some(42));
     }
 }

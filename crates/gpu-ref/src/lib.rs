@@ -14,27 +14,27 @@
 //! The *device time* of the real GPUs is modelled separately in [`device_model`]
 //! from the rooflines the paper publishes for the A100/H100 (memory-bound kernel,
 //! ≈78 % of the bandwidth ceiling).
+//!
+//! * [`backend`] — [`GpuRefBackend`], the one solve entry point: the host-side
+//!   CG loop over the device kernel, with host ↔ device transfer counts;
+//! * [`kernel`] — the per-thread device function and its block-parallel launch;
+//! * [`launch`] — the 16×8×8 block/grid configuration;
+//! * [`device_model`] — modelled A100/H100 device time.
 
 pub mod backend;
-pub mod cg;
 pub mod device_model;
 pub mod kernel;
 pub mod launch;
-pub mod memory;
 
 pub use backend::GpuRefBackend;
-pub use cg::GpuReferenceSolver;
 pub use device_model::{GpuSpec, GpuTimeModel};
 pub use kernel::GpuMatrixFreeOperator;
 pub use launch::{BlockDims, LaunchConfig};
-pub use memory::HostDeviceTransfers;
 
 /// Convenient glob import.
 pub mod prelude {
     pub use crate::backend::GpuRefBackend;
-    pub use crate::cg::GpuReferenceSolver;
     pub use crate::device_model::{GpuSpec, GpuTimeModel};
     pub use crate::kernel::GpuMatrixFreeOperator;
     pub use crate::launch::{BlockDims, LaunchConfig};
-    pub use crate::memory::HostDeviceTransfers;
 }

@@ -46,6 +46,7 @@
 use crate::context::CgScratch;
 use crate::convergence::{ConvergenceHistory, StoppingCriterion};
 use crate::monitor::{Flow, SolveEvent, SolveMonitor, StopReason};
+use crate::trace::TraceMonitor;
 use mffv_fv::plan::{det_dot, det_norm_squared};
 use mffv_fv::{LinearOperator, Preconditioner};
 use mffv_mesh::{CellField, Scalar};
@@ -135,13 +136,15 @@ impl ConjugateGradient {
     /// `rr` payloads are bitwise identical to the entries recorded in the
     /// history — and may end the solve early by returning [`Flow::Stop`]; the
     /// partial solution and history stay in `scratch` and the reason is
-    /// returned.  Every preconditioner application runs under `span`, so
-    /// structured preconditioners (the multigrid V-cycle) emit their
-    /// `mg.vcycle` / `mg.level` spans.  Neither monitoring nor tracing
-    /// touches the arithmetic.  On a numerical breakdown (non-positive or
-    /// non-finite `dᵀ(A d)`) the solve ends with a terminal
-    /// [`SolveEvent::Stopped`]`(`[`StopReason::Breakdown`]`)` and returns
-    /// that reason.
+    /// returned.  The events reach `monitor` through a [`TraceMonitor`]
+    /// under `span`, which opens the `cg-loop` span, and every
+    /// preconditioner application runs under `span`, so structured
+    /// preconditioners (the multigrid V-cycle) emit their `mg.vcycle` /
+    /// `mg.level` spans.  Under a null span both record nothing.  Neither
+    /// monitoring nor tracing touches the arithmetic.  On a numerical
+    /// breakdown (non-positive or non-finite `dᵀ(A d)`) the solve ends with
+    /// a terminal [`SolveEvent::Stopped`]`(`[`StopReason::Breakdown`]`)` and
+    /// returns that reason.
     #[allow(clippy::too_many_arguments)]
     pub fn solve_into<T: Scalar, Op: LinearOperator<T>>(
         &self,
@@ -153,6 +156,7 @@ impl ConjugateGradient {
         span: &Span,
         scratch: &mut CgScratch<T>,
     ) -> Option<StopReason> {
+        let monitor = &mut TraceMonitor::new(span, monitor);
         let dims = operator.dims();
         assert_eq!(rhs.dims(), dims, "rhs dimension mismatch");
         assert_eq!(scratch.dims(), dims, "scratch dimension mismatch");

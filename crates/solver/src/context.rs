@@ -28,7 +28,6 @@ use crate::cg::ConjugateGradient;
 use crate::convergence::{ConvergenceHistory, StoppingCriterion};
 use crate::monitor::{SolveMonitor, StopReason};
 use crate::pcg::JacobiPreconditioner;
-use crate::trace::TraceMonitor;
 use crate::transient::{StepOutcome, StepRequest};
 use mffv_fv::residual::{newton_rhs, residual};
 use mffv_fv::{
@@ -224,8 +223,7 @@ struct ContextState<T: Scalar> {
 
 impl<T: Scalar> ContextState<T> {
     /// The host's one Krylov call: CG under the cached preconditioner (if
-    /// any, applied under `span`), reporting to `monitor` through a
-    /// [`TraceMonitor`] under `span`.  `x0 = None` starts from zero.
+    /// any), traced under `span`.  `x0 = None` starts from zero.
     fn krylov(
         &self,
         criterion: StoppingCriterion,
@@ -240,7 +238,7 @@ impl<T: Scalar> ContextState<T> {
             self.precond.as_dyn(),
             rhs,
             x0,
-            &mut TraceMonitor::new(span, monitor),
+            monitor,
             span,
             scratch,
         )
@@ -410,9 +408,9 @@ impl<T: Scalar> SolveContext<T> {
     }
 
     /// Run one steady pressure solve on the context: one Newton step whose
-    /// Krylov loop (CG, preconditioned when so configured) reports
-    /// to `monitor` through a [`TraceMonitor`] under `span`.  Results stay in
-    /// the context's own buffers — read them through
+    /// Krylov loop (CG, preconditioned when so configured) reports to
+    /// `monitor`, traced under `span`.  Results stay in the context's own
+    /// buffers — read them through
     /// [`pressure`](Self::pressure), [`history`](Self::history) and
     /// [`final_residual_max`](Self::final_residual_max).
     pub fn solve(
@@ -489,9 +487,9 @@ impl<T: Scalar> SolveContext<T> {
     /// consecutive steps of one run share the stencil plan and the
     /// preconditioner and swap only the shift when `Δt` or the active well
     /// set changes it.  The Krylov loop starts from the request's warm
-    /// `δ` (or zero) and runs through the same Krylov call and
-    /// [`TraceMonitor`] wrap as [`solve`](Self::solve).  Dirichlet rows are
-    /// pinned to `δ = 0`, keeping boundary pressures exact.  The system is
+    /// `δ` (or zero) and runs through the same Krylov call as
+    /// [`solve`](Self::solve).  Dirichlet rows are pinned to `δ = 0`,
+    /// keeping boundary pressures exact.  The system is
     /// SPD for any `Δt > 0`, even without Dirichlet cells: the accumulation
     /// diagonal regularises the pure-Neumann operator.
     ///

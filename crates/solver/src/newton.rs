@@ -44,9 +44,10 @@ pub struct PressureSolution<T: Scalar> {
 /// `monitor` sees every iteration boundary of the inner CG loop and may stop
 /// the solve, in which case the partial pressure update and history are still
 /// returned (with [`PressureSolution::stopped`] set).  `span` scopes the
-/// preconditioner's telemetry (`mg.vcycle` / `mg.level`); pass [`Span::null`]
-/// when not tracing.  The recorded history carries the *unpreconditioned*
-/// `rᵀr`, so it is directly comparable across preconditioners.
+/// solve's telemetry (the `cg-loop` span and the preconditioner's
+/// `mg.vcycle` / `mg.level`); pass [`Span::null`] when not tracing.  The
+/// recorded history carries the *unpreconditioned* `rᵀr`, so it is directly
+/// comparable across preconditioners.
 pub fn solve_pressure_with<T: Scalar, Op: LinearOperator<T>>(
     workload: &Workload,
     operator: &Op,

@@ -58,29 +58,20 @@ impl<T: Scalar> JacobiPreconditioner<T> {
         });
         Self::from_diagonal(&diag)
     }
+}
 
-    /// Apply `z = M⁻¹ r`.
-    pub fn apply(&self, r: &CellField<T>, z: &mut CellField<T>) {
+impl<T: Scalar> Preconditioner<T> for JacobiPreconditioner<T> {
+    fn dims(&self) -> Dims {
+        self.inverse_diagonal.dims()
+    }
+
+    /// `z = M⁻¹ r`, one multiply per cell.
+    fn apply(&self, r: &CellField<T>, z: &mut CellField<T>) {
         assert_eq!(r.dims(), self.inverse_diagonal.dims());
         assert_eq!(z.dims(), self.inverse_diagonal.dims());
         for i in 0..r.len() {
             z.set(i, r.get(i) * self.inverse_diagonal.get(i));
         }
-    }
-
-    /// Grid extents.
-    pub fn dims(&self) -> Dims {
-        self.inverse_diagonal.dims()
-    }
-}
-
-impl<T: Scalar> Preconditioner<T> for JacobiPreconditioner<T> {
-    fn dims(&self) -> Dims {
-        JacobiPreconditioner::dims(self)
-    }
-
-    fn apply(&self, r: &CellField<T>, z: &mut CellField<T>) {
-        JacobiPreconditioner::apply(self, r, z);
     }
 
     fn label(&self) -> &'static str {

@@ -1,6 +1,7 @@
 //! Golden/differential tests: host vs gpu-ref vs dataflow transient
 //! trajectories compared against each other and against pinned fixtures,
-//! plus pinned steady solves for every host Krylov configuration.
+//! plus pinned steady solves for every host Krylov configuration and the
+//! preconditioned device paths.
 //!
 //! The long per-step solve chains of transient simulation are where silent
 //! numerical drift hides; these tests pin the full 50-step trajectories as
@@ -204,6 +205,24 @@ fn steady_solves_match_the_pinned_fixtures() {
             1e-10,
             PreconditionerKind::Jacobi,
         ),
+        (
+            "steady_gpu_ref_mg",
+            Backend::gpu_ref(),
+            1e-10,
+            PreconditionerKind::Mg,
+        ),
+        (
+            "steady_dataflow_jacobi",
+            Backend::dataflow(),
+            1e-10,
+            PreconditionerKind::Jacobi,
+        ),
+        (
+            "steady_dataflow_mg",
+            Backend::dataflow(),
+            1e-10,
+            PreconditionerKind::Mg,
+        ),
     ] {
         let report = Simulation::new(workload.clone())
             .tolerance(tolerance)
@@ -211,7 +230,7 @@ fn steady_solves_match_the_pinned_fixtures() {
             .run_backend(&backend)
             .unwrap();
         assert!(report.converged(), "{name}");
-        common::Golden::new(name)
+        let mut golden = common::Golden::new(name)
             .str("backend", &report.backend)
             .int("iterations", report.iterations())
             .num("final_rr", report.history.final_rr())
@@ -219,8 +238,18 @@ fn steady_solves_match_the_pinned_fixtures() {
                 "pressure_checksum",
                 common::field_checksum(&report.pressure),
             )
-            .num("final_residual_max", report.final_residual_max)
-            .check();
+            .num("final_residual_max", report.final_residual_max);
+        // The dataflow entries also pin the modelled device time and every
+        // device counter, in report order.  The gpu-ref entries leave their
+        // host/device transfer counters out.
+        if report.backend == "dataflow" {
+            let device = report.device.as_ref().expect("dataflow models a device");
+            golden = golden.num("modelled_time_seconds", device.modelled_time_seconds);
+            for (counter, value) in &device.counters {
+                golden = golden.num(counter, *value);
+            }
+        }
+        golden.check();
     }
 }
 
